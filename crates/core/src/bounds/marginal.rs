@@ -716,20 +716,9 @@ impl MarginalBoundSolver {
         // The direct solve gets a slice of the wall clock, not all of it:
         // when *it* is the slow thing, the fallback rungs still need time.
         self.options.budget = full.scale_wall_clock(robust::DIRECT_SLICE);
-        let attempt = self.bound_all_seeded(&[]);
+        let direct = self.bound_all_seeded(&[]);
         self.options.budget = full;
-        match attempt {
-            Ok(mut bounds) => {
-                bounds.diagnostics.budget = full;
-                bounds.diagnostics.consumed = start.elapsed();
-                Ok(bounds)
-            }
-            Err(err) if robust::ladder_eligible(&err) => {
-                let network = self.network.clone();
-                robust::run_ladder(&network, self.options, err, start)
-            }
-            Err(err) => Err(err),
-        }
+        robust::answer(&self.network, self.options, start, direct)
     }
 
     /// [`MarginalBoundSolver::bound_all`] with optional cross-population

@@ -42,6 +42,16 @@
 //! Every rung's outcome is recorded in [`SolveDiagnostics`], so a caller
 //! that receives a degraded answer can see exactly what was tried, what
 //! failed, and how much of the budget each attempt consumed.
+//!
+//! ## One recorder, three ladders
+//!
+//! The crate-private `Ladder` is the only place attempts are recorded and
+//! diagnostics stamped: it slices the shared budget, runs and records each
+//! rung, and ends in the always-answer floor. `bound_all` and
+//! [`PopulationSweep::bounds_at`] hand their direct result to `answer`,
+//! which walks the rungs above; the planning session walks direct →
+//! salted → tightened → fluid → floor on the same recorder. The front
+//! doors differ only in their rung lists, salts and slices.
 
 use super::aba::{aba_bounds, balanced_job_bounds};
 use super::marginal::{
@@ -58,7 +68,7 @@ use std::time::{Duration, Instant};
 /// before the ladder takes over. Chosen so that even when rung 1 burns its
 /// whole slice, the salted re-solve and the bootstrap both still get
 /// meaningful slices of what remains.
-pub(super) const DIRECT_SLICE: f64 = 0.35;
+pub(crate) const DIRECT_SLICE: f64 = 0.35;
 
 /// Fraction of the *remaining* wall clock handed to the salted re-solve.
 const SALTED_SLICE: f64 = 0.3;
@@ -199,110 +209,125 @@ impl std::fmt::Display for SolveDiagnostics {
     }
 }
 
-/// Whether an error is one the ladder can degrade past: solve-level
-/// failures (wrapped in [`CoreError::ObjectiveSolve`] with their objective
-/// and population) qualify; construction-grade errors (unsupported
-/// network, invalid routing) do not — no rung could answer those either.
-pub(super) fn ladder_eligible(error: &CoreError) -> bool {
-    matches!(error, CoreError::ObjectiveSolve { .. })
+/// The one recorder behind every degradation ladder: it slices the shared
+/// budget, records one [`LadderAttempt`] per rung tried and stamps the
+/// final [`SolveDiagnostics`] (see the module docs).
+pub(crate) struct Ladder {
+    start: Instant,
+    budget: SolveBudget,
+    population: usize,
+    attempts: Vec<LadderAttempt>,
 }
 
-/// Runs rungs 2–4 after the direct solve failed with `direct_error`.
-/// `start` is when the *direct* solve began, so the whole ladder shares
-/// one wall-clock allowance.
-pub(super) fn run_ladder(
-    network: &ClosedNetwork,
-    options: BoundOptions,
-    direct_error: CoreError,
-    start: Instant,
-) -> Result<NetworkBounds> {
-    let target = network.population();
-    let mut attempts = vec![LadderAttempt {
-        rung: Rung::Direct,
-        population: target,
-        error: Some(direct_error),
-        elapsed: start.elapsed(),
-    }];
-    let deadline = options.budget.wall_clock.map(|w| start + w);
-    let remaining = |fraction: f64| -> SolveBudget {
-        match deadline {
-            None => options.budget,
-            Some(d) => SolveBudget {
-                wall_clock: Some(
-                    d.saturating_duration_since(mapqn_linalg::budget::now()).mul_f64(fraction),
-                ),
-                ..options.budget
-            },
+impl Ladder {
+    /// A ladder for a solve at `population` that began at `start` under
+    /// `budget`.
+    pub(crate) fn new(start: Instant, budget: SolveBudget, population: usize) -> Self {
+        Self {
+            start,
+            budget,
+            population,
+            attempts: Vec::new(),
         }
-    };
-    let finish = |mut bounds: NetworkBounds,
-                  quality: Quality,
-                  attempts: Vec<LadderAttempt>|
-     -> NetworkBounds {
+    }
+
+    /// `fraction` of the wall clock still left of the shared budget (caps
+    /// pass through).
+    pub(crate) fn slice(&self, fraction: f64) -> SolveBudget {
+        self.budget.remaining(self.start).scale_wall_clock(fraction)
+    }
+
+    /// Runs one rung, recording its outcome and wall clock; `Some` is the
+    /// rung's answer.
+    pub(crate) fn attempt<T>(&mut self, rung: Rung, run: impl FnOnce() -> Result<T>) -> Option<T> {
+        let t = mapqn_linalg::budget::now();
+        match run() {
+            Ok(value) => {
+                self.record(rung, None, t.elapsed());
+                Some(value)
+            }
+            Err(error) => {
+                self.fail(rung, error, t.elapsed());
+                None
+            }
+        }
+    }
+
+    /// Records a rung that failed outside [`Ladder::attempt`].
+    pub(crate) fn fail(&mut self, rung: Rung, error: CoreError, elapsed: Duration) {
+        self.record(rung, Some(error), elapsed);
+    }
+
+    fn record(&mut self, rung: Rung, error: Option<CoreError>, elapsed: Duration) {
+        self.attempts.push(LadderAttempt {
+            rung,
+            population: self.population,
+            error,
+            elapsed,
+        });
+    }
+
+    /// Stamps `quality` and the diagnostics (attempts, governing budget,
+    /// wall clock since the start) onto the answer.
+    pub(crate) fn finish(self, mut bounds: NetworkBounds, quality: Quality) -> NetworkBounds {
         bounds.quality = quality;
         bounds.diagnostics = SolveDiagnostics {
-            attempts,
-            budget: options.budget,
-            consumed: start.elapsed(),
+            attempts: self.attempts,
+            budget: self.budget,
+            consumed: self.start.elapsed(),
         };
         bounds
-    };
-
-    // Rung 2: salted re-solve.
-    let t = mapqn_linalg::budget::now();
-    match salted_attempt(network, options, remaining(SALTED_SLICE)) {
-        Ok(bounds) => {
-            attempts.push(LadderAttempt {
-                rung: Rung::Salted,
-                population: target,
-                error: None,
-                elapsed: t.elapsed(),
-            });
-            return Ok(finish(bounds, Quality::Certified, attempts));
-        }
-        Err(e) => attempts.push(LadderAttempt {
-            rung: Rung::Salted,
-            population: target,
-            error: Some(e),
-            elapsed: t.elapsed(),
-        }),
     }
 
-    // Rung 3: self-seeded bootstrap (pointless at tiny populations, where
-    // it would just repeat the direct solve).
-    if target > BOOTSTRAP_MIN {
+    /// The always-answer tail: the algebraic floor, recorded as the last
+    /// attempt. Pure arithmetic — the only errors it can produce are
+    /// construction-grade (no queueing station), which the rungs that got
+    /// here would have rejected already.
+    pub(crate) fn floor(mut self, network: &ClosedNetwork) -> Result<NetworkBounds> {
         let t = mapqn_linalg::budget::now();
-        match bootstrap_attempt(network, options, deadline) {
-            Ok(bounds) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Bootstrap,
-                    population: target,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish(bounds, Quality::SelfSeeded, attempts));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Bootstrap,
-                population: target,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
+        let bounds = asymptotic_floor(network)?;
+        self.record(Rung::Floor, None, t.elapsed());
+        Ok(self.finish(bounds, Quality::Asymptotic))
+    }
+}
+
+/// The always-answer front of `bound_all` and
+/// [`PopulationSweep::bounds_at`]: stamps the diagnostics onto the `direct`
+/// answer, or — when it failed at solve level — walks rungs 2–4. `start` is
+/// when the direct solve began, so the whole ladder shares one wall-clock
+/// allowance of `options.budget`.
+pub(super) fn answer(
+    network: &ClosedNetwork,
+    options: BoundOptions,
+    start: Instant,
+    direct: Result<NetworkBounds>,
+) -> Result<NetworkBounds> {
+    let mut ladder = Ladder::new(start, options.budget, network.population());
+    match direct {
+        Ok(bounds) => return Ok(ladder.finish(bounds, Quality::Certified)),
+        // Only solve-level failures (wrapped with their objective and
+        // population) degrade; construction-grade errors (unsupported
+        // network, invalid routing) propagate — no rung could answer them.
+        Err(error @ CoreError::ObjectiveSolve { .. }) => {
+            ladder.fail(Rung::Direct, error, start.elapsed());
+        }
+        Err(error) => return Err(error),
+    }
+    let salted = ladder.slice(SALTED_SLICE);
+    if let Some(bounds) = ladder.attempt(Rung::Salted, || salted_attempt(network, options, salted))
+    {
+        return Ok(ladder.finish(bounds, Quality::Certified));
+    }
+    // The bootstrap is pointless at tiny populations, where it would just
+    // repeat the direct solve.
+    if network.population() > BOOTSTRAP_MIN {
+        if let Some(bounds) =
+            ladder.attempt(Rung::Bootstrap, || bootstrap_attempt(network, options, start))
+        {
+            return Ok(ladder.finish(bounds, Quality::SelfSeeded));
         }
     }
-
-    // Rung 4: the algebraic floor. Pure arithmetic — the only errors it
-    // can produce are construction-grade (no queueing station), which the
-    // solver that got us here would have rejected already.
-    let t = mapqn_linalg::budget::now();
-    let bounds = asymptotic_floor(network)?;
-    attempts.push(LadderAttempt {
-        rung: Rung::Floor,
-        population: target,
-        error: None,
-        elapsed: t.elapsed(),
-    });
-    Ok(finish(bounds, Quality::Asymptotic, attempts))
+    ladder.floor(network)
 }
 
 /// Rung 2: a fresh solver over the same LP under a re-drawn perturbation
@@ -325,7 +350,7 @@ fn salted_attempt(
 fn bootstrap_attempt(
     network: &ClosedNetwork,
     mut options: BoundOptions,
-    deadline: Option<Instant>,
+    start: Instant,
 ) -> Result<NetworkBounds> {
     let target = network.population();
     let mut schedule = Vec::new();
@@ -340,21 +365,16 @@ fn bootstrap_attempt(
     let mut sweep = PopulationSweep::with_options(network, options)?;
     let mut last: Option<NetworkBounds> = None;
     for &population in &schedule {
-        if let Some(d) = deadline {
-            let left = d.saturating_duration_since(mapqn_linalg::budget::now());
-            if left.is_zero() {
-                return Err(CoreError::Lp(mapqn_lp::LpError::BudgetExhausted(
-                    BudgetExhausted::WallClock,
-                )));
-            }
-            // Each step re-anchors at the ladder's shared deadline, so the
-            // whole schedule — not each step — fits the allowance.
-            sweep.set_budget(SolveBudget {
-                wall_clock: Some(left),
-                ..options.budget
-            });
+        // Each step re-anchors at the ladder's shared deadline, so the
+        // whole schedule — not each step — fits the allowance.
+        let left = options.budget.remaining(start);
+        if left.wall_clock == Some(Duration::ZERO) {
+            return Err(CoreError::Lp(mapqn_lp::LpError::BudgetExhausted(
+                BudgetExhausted::WallClock,
+            )));
         }
-        last = Some(sweep.bounds_at_raw(population)?);
+        sweep.set_budget(left);
+        last = Some(sweep.bounds_at_raw(&network.with_population(population)?)?);
     }
     // INFALLIBLE: the schedule ends with `population` itself, so the loop
     // body ran at least once and set `last`.

@@ -180,14 +180,14 @@ impl PopulationSweep {
     /// those either).
     pub fn bounds_at(&mut self, population: usize) -> Result<NetworkBounds> {
         let start = mapqn_linalg::budget::now();
-        match self.bounds_at_raw(population) {
-            Ok(bounds) => Ok(bounds),
-            Err(err) if robust::ladder_eligible(&err) => {
-                let network = self.network.with_population(population)?;
-                robust::run_ladder(&network, self.options, err, start)
-            }
-            Err(err) => Err(err),
-        }
+        let network = self.network.with_population(population)?;
+        // The same direct slice as `bound_all`, so a direct attempt that
+        // runs the clock out still leaves the fallback rungs time.
+        let full = self.options.budget;
+        self.options.budget = full.scale_wall_clock(robust::DIRECT_SLICE);
+        let direct = self.bounds_at_raw(&network);
+        self.options.budget = full;
+        robust::answer(&network, self.options, start, direct)
     }
 
     /// Replaces the sweep's solve budget for subsequent populations (the
@@ -198,12 +198,12 @@ impl PopulationSweep {
     }
 
     /// The ladder-free solve behind [`PopulationSweep::bounds_at`]: one
-    /// certified attempt that propagates failures to the caller. The
-    /// bootstrap rung of the ladder calls this directly — routing it
-    /// through the laddered front door would recurse.
-    pub(super) fn bounds_at_raw(&mut self, population: usize) -> Result<NetworkBounds> {
-        let network = self.network.with_population(population)?;
-        let mut solver = MarginalBoundSolver::with_options(&network, self.options)?;
+    /// certified attempt at `network` (the sweep's model at the requested
+    /// population) that propagates failures to the caller. The bootstrap
+    /// rung of the ladder calls this directly — routing it through the
+    /// laddered front door would recurse.
+    pub(super) fn bounds_at_raw(&mut self, network: &ClosedNetwork) -> Result<NetworkBounds> {
+        let mut solver = MarginalBoundSolver::with_options(network, self.options)?;
         // Only the slots with real pivot work are worth seeding; everything
         // else re-prices in ~zero pivots off the rolling chain the
         // family-grouped solve order sets up, and a dual seed there pays a

@@ -21,7 +21,8 @@
 //! * **A per-request retry/backoff ladder**: direct certified solve under
 //!   a wall-clock slice, salted re-solve, tightened-tolerance re-solve,
 //!   then the fluid engine and the algebraic floor. Every answer carries
-//!   its [`Quality`] tag and full [`SolveDiagnostics`].
+//!   its [`Quality`] tag and full
+//!   [`SolveDiagnostics`](crate::bounds::SolveDiagnostics).
 //! * **A per-key circuit breaker**: a key whose certified rungs fail
 //!   repeatedly is routed straight to the fluid/asymptotic rung for a
 //!   cool-down window of requests, so one pathological model (the N≥50
@@ -83,7 +84,7 @@
 //! ```
 
 use crate::bounds::marginal::{BoundOptions, MarginalBoundSolver, NetworkBounds};
-use crate::bounds::robust::{self, LadderAttempt, Quality, Rung, SolveDiagnostics};
+use crate::bounds::robust::{self, Ladder, Quality, Rung};
 use crate::fluid::{solve_fluid_with, FluidOptions};
 use crate::metrics::NetworkMetrics;
 use crate::network::ClosedNetwork;
@@ -96,9 +97,6 @@ use mapqn_lp::Basis;
 use mapqn_par::WorkPool;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
-
-/// Wall-clock fraction of the request budget the direct rung may spend.
-const SESSION_DIRECT_SLICE: f64 = 0.35;
 
 /// Fraction of the *remaining* wall clock handed to the salted rung.
 const SESSION_SALTED_SLICE: f64 = 0.4;
@@ -210,7 +208,8 @@ pub struct PlanningAnswer {
     /// The guaranteed intervals backing the answer (for the fluid rung
     /// these are the algebraic floor's intervals — the fluid point is a
     /// tighter estimate, the intervals stay sound). Carries the
-    /// [`Quality`] tag and the full [`SolveDiagnostics`].
+    /// [`Quality`] tag and the full
+    /// [`SolveDiagnostics`](crate::bounds::SolveDiagnostics).
     pub bounds: NetworkBounds,
     /// The ladder rung that produced the returned numbers.
     pub rung: Rung,
@@ -343,6 +342,9 @@ struct CacheEntry {
     /// Topology version the entry was created under; entries from older
     /// versions are evicted on lookup.
     version: u64,
+    /// The certified rung that produced the entry, reported again on
+    /// every hit.
+    rung: Rung,
     /// Whether the entry's solve was neighbor-seeded.
     seeded: bool,
 }
@@ -387,7 +389,7 @@ struct Admission {
     started: std::time::Instant,
     /// `Some` = answered at admission (verified cache hit); `None` = a
     /// solve job runs in phase 2.
-    memo: Option<(NetworkBounds, NetworkMetrics, bool)>,
+    memo: Option<(NetworkBounds, NetworkMetrics, Rung, bool)>,
     mode: JobMode,
     source: AnswerSource,
 }
@@ -624,7 +626,12 @@ impl PlanningSession {
                 .map(|report| report.is_intact())
                 .unwrap_or(false);
                 if intact {
-                    let memo = (entry.bounds.clone(), entry.metrics.clone(), entry.seeded);
+                    let memo = (
+                        entry.bounds.clone(),
+                        entry.metrics.clone(),
+                        entry.rung,
+                        entry.seeded,
+                    );
                     self.stats.cache_hits += 1;
                     self.record_result(key, seq, false);
                     return Ok(Admission {
@@ -711,12 +718,12 @@ impl PlanningSession {
         outcome: Option<std::result::Result<Result<SolveOutcome>, String>>,
     ) -> Result<PlanningAnswer> {
         // Verified cache hit: the memoized answer, verbatim.
-        if let Some((bounds, metrics, seeded)) = adm.memo {
+        if let Some((bounds, metrics, rung, seeded)) = adm.memo {
             self.stats.certified_answers += 1;
             return Ok(PlanningAnswer {
                 label: adm.label,
                 population: adm.network.population(),
-                rung: Rung::Direct,
+                rung,
                 metrics,
                 bounds,
                 source: adm.source,
@@ -732,16 +739,10 @@ impl PlanningSession {
                 // Contained panic: answer from the floor, recording the
                 // panic in the diagnostics.
                 self.stats.contained_panics += 1;
-                floor_outcome(
-                    &adm.network,
-                    vec![LadderAttempt {
-                        rung: Rung::Direct,
-                        population: adm.network.population(),
-                        error: Some(CoreError::Panicked(panic_message)),
-                        elapsed: Duration::ZERO,
-                    }],
-                    adm.started,
-                )
+                let mut ladder =
+                    Ladder::new(adm.started, self.options.budget, adm.network.population());
+                ladder.fail(Rung::Direct, CoreError::Panicked(panic_message), Duration::ZERO);
+                floor_outcome(&adm.network, ladder)
             }
             // INFALLIBLE: every non-memo admission slot had a job queued.
             None => unreachable!("solve job missing for admitted request"),
@@ -762,6 +763,7 @@ impl PlanningSession {
                                 witness: solved.bases[0].clone(),
                                 bases: solved.bases,
                                 version: self.topology_version,
+                                rung: solved.rung,
                                 seeded: solved.seeded,
                             },
                         );
@@ -927,167 +929,72 @@ fn solve_request(
     options: &SessionOptions,
     mode: &JobMode,
 ) -> Result<SolveOutcome> {
-    let start = budget::now();
-    let mut attempts: Vec<LadderAttempt> = Vec::new();
-    let population = network.population();
-    let deadline = options.budget.wall_clock.map(|w| start + w);
-    let remaining = |fraction: f64| -> SolveBudget {
-        match deadline {
-            None => options.budget,
-            Some(d) => SolveBudget {
-                wall_clock: Some(
-                    d.saturating_duration_since(budget::now()).mul_f64(fraction),
-                ),
-                ..options.budget
-            },
+    let mut ladder = Ladder::new(budget::now(), options.budget, network.population());
+    let certified = match mode {
+        JobMode::DegradedOnly => None,
+        JobMode::Full {
+            skip_certified: true,
+            ..
+        } => {
+            let site = FaultSite::RequestTimeout.name();
+            ladder.fail(Rung::Direct, CoreError::Injected { site }, Duration::ZERO);
+            None
         }
+        JobMode::Full { seeds, .. } => Some(seeds.as_ref()),
     };
 
-    let run_certified = match mode {
-        JobMode::DegradedOnly => false,
-        JobMode::Full { skip_certified, .. } => {
-            if *skip_certified {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Direct,
-                    population,
-                    error: Some(CoreError::Injected {
-                        site: FaultSite::RequestTimeout.name(),
-                    }),
-                    elapsed: Duration::ZERO,
+    if let Some(seeds) = certified {
+        // Direct under a budget slice (with the neighbor seeds, when
+        // armed); then a salted re-solve and a tightened-tolerance one (a
+        // drifting solve is often rescued by a stricter feasibility test),
+        // each under its own salt and without seeds — the seeds belong to
+        // the stream that just failed.
+        let rungs = [
+            (Rung::Direct, 0, robust::DIRECT_SLICE),
+            (Rung::Salted, SESSION_SALTED_SALT, SESSION_SALTED_SLICE),
+            (Rung::Tightened, SESSION_TIGHTENED_SALT, 1.0),
+        ];
+        for (rung, salt, slice) in rungs {
+            let mut bound = bound_options(options, salt, ladder.slice(slice));
+            if rung == Rung::Tightened {
+                bound.simplex.tolerance /= TIGHTEN_FACTOR;
+            }
+            let seeds = if rung == Rung::Direct { seeds } else { None };
+            if let Some((bounds, bases, seeded)) =
+                ladder.attempt(rung, || certified_attempt(network, bound, seeds))
+            {
+                let quality = if seeded {
+                    Quality::SelfSeeded
+                } else {
+                    Quality::Certified
+                };
+                let bounds = ladder.finish(bounds, quality);
+                return Ok(SolveOutcome {
+                    metrics: midpoint_metrics(network, &bounds),
+                    bounds,
+                    bases,
+                    rung,
+                    seeded,
                 });
             }
-            !*skip_certified
-        }
-    };
-
-    if run_certified {
-        let seeds = match mode {
-            JobMode::Full { seeds, .. } => seeds.as_ref(),
-            JobMode::DegradedOnly => None,
-        };
-
-        // Rung 1: direct certified solve under a budget slice (and the
-        // neighbor seeds, when armed).
-        let t = budget::now();
-        let direct = certified_attempt(
-            network,
-            bound_options(options, 0, remaining(SESSION_DIRECT_SLICE)),
-            seeds,
-        );
-        match direct {
-            Ok((bounds, bases, seeded)) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Direct,
-                    population,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish_certified(
-                    network, bounds, bases, Rung::Direct, seeded, attempts, options, start,
-                ));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Direct,
-                population,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
-        }
-
-        // Rung 2: salted re-solve (fresh perturbation stream, no seeds —
-        // the seeds belong to the stream that just failed).
-        let t = budget::now();
-        match certified_attempt(
-            network,
-            bound_options(
-                options,
-                SESSION_SALTED_SALT,
-                remaining(SESSION_SALTED_SLICE),
-            ),
-            None,
-        ) {
-            Ok((bounds, bases, _)) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Salted,
-                    population,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish_certified(
-                    network, bounds, bases, Rung::Salted, false, attempts, options, start,
-                ));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Salted,
-                population,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
-        }
-
-        // Rung 3: tightened tolerance (a drifting solve is often rescued
-        // by a stricter feasibility test) under yet another salt.
-        let t = budget::now();
-        let mut tightened = bound_options(options, SESSION_TIGHTENED_SALT, remaining(1.0));
-        tightened.simplex.tolerance /= TIGHTEN_FACTOR;
-        match certified_attempt(network, tightened, None) {
-            Ok((bounds, bases, _)) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Tightened,
-                    population,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish_certified(
-                    network, bounds, bases, Rung::Tightened, false, attempts, options, start,
-                ));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Tightened,
-                population,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
         }
     }
 
-    // Rung 4: the fluid engine — point metrics inside the floor's
-    // guaranteed intervals. Exempt from the budget (always-answer tier).
-    let t = budget::now();
-    match solve_fluid_with(network, &FluidOptions::default()) {
-        Ok(fluid) => {
-            attempts.push(LadderAttempt {
-                rung: Rung::Fluid,
-                population,
-                error: None,
-                elapsed: t.elapsed(),
-            });
-            let mut bounds = robust::asymptotic_floor(network)?;
-            bounds.quality = Quality::Asymptotic;
-            bounds.diagnostics = SolveDiagnostics {
-                attempts,
-                budget: options.budget,
-                consumed: start.elapsed(),
-            };
-            return Ok(SolveOutcome {
-                metrics: fluid.metrics,
-                bounds,
-                bases: Vec::new(),
-                rung: Rung::Fluid,
-                seeded: false,
-            });
-        }
-        Err(e) => attempts.push(LadderAttempt {
+    // The fluid engine — point metrics inside the floor's guaranteed
+    // intervals. Exempt from the budget (always-answer tier).
+    if let Some(fluid) =
+        ladder.attempt(Rung::Fluid, || solve_fluid_with(network, &FluidOptions::default()))
+    {
+        let bounds = ladder.finish(robust::asymptotic_floor(network)?, Quality::Asymptotic);
+        return Ok(SolveOutcome {
+            metrics: fluid.metrics,
+            bounds,
+            bases: Vec::new(),
             rung: Rung::Fluid,
-            population,
-            error: Some(e),
-            elapsed: t.elapsed(),
-        }),
+            seeded: false,
+        });
     }
-
-    // Rung 5: the algebraic floor — pure arithmetic, cannot fail on any
-    // model the session admitted.
-    floor_outcome(network, attempts, start)
+    floor_outcome(network, ladder)
 }
 
 /// One certified attempt: a fresh solver, optionally neighbor-seeded.
@@ -1114,63 +1021,12 @@ fn certified_attempt(
     Ok((bounds, solver.solved_bases(), seeded))
 }
 
-/// Finalizes a certified rung's outcome: stamps quality, diagnostics and
-/// midpoint metrics.
-#[allow(clippy::too_many_arguments)]
-fn finish_certified(
-    network: &ClosedNetwork,
-    mut bounds: NetworkBounds,
-    bases: Vec<Basis>,
-    rung: Rung,
-    seeded: bool,
-    attempts: Vec<LadderAttempt>,
-    options: &SessionOptions,
-    start: std::time::Instant,
-) -> SolveOutcome {
-    bounds.quality = if seeded {
-        Quality::SelfSeeded
-    } else {
-        Quality::Certified
-    };
-    bounds.diagnostics = SolveDiagnostics {
-        attempts,
-        budget: options.budget,
-        consumed: start.elapsed(),
-    };
-    let metrics = midpoint_metrics(network, &bounds);
-    SolveOutcome {
-        metrics,
-        bounds,
-        bases,
-        rung,
-        seeded,
-    }
-}
-
-/// The floor answer: guaranteed intervals, midpoint metrics, recorded as
-/// the final ladder attempt.
-fn floor_outcome(
-    network: &ClosedNetwork,
-    mut attempts: Vec<LadderAttempt>,
-    start: std::time::Instant,
-) -> Result<SolveOutcome> {
-    let t = budget::now();
-    let mut bounds = robust::asymptotic_floor(network)?;
-    attempts.push(LadderAttempt {
-        rung: Rung::Floor,
-        population: network.population(),
-        error: None,
-        elapsed: t.elapsed(),
-    });
-    bounds.quality = Quality::Asymptotic;
-    bounds.diagnostics = SolveDiagnostics {
-        attempts,
-        budget: SolveBudget::unlimited(),
-        consumed: start.elapsed(),
-    };
-    let metrics = midpoint_metrics(network, &bounds);
+/// The floor answer: guaranteed intervals and midpoint metrics, recorded
+/// as the final attempt of `ladder`.
+fn floor_outcome(network: &ClosedNetwork, ladder: Ladder) -> Result<SolveOutcome> {
+    let bounds = ladder.floor(network)?;
     Ok(SolveOutcome {
-        metrics,
+        metrics: midpoint_metrics(network, &bounds),
         bounds,
         bases: Vec::new(),
         rung: Rung::Floor,

@@ -316,7 +316,7 @@ pub fn solve_with(
     let mut last_error: Option<CoreError> = None;
     for engine in plan {
         let attempt_start = budget::now();
-        let remaining = remaining_budget(&budget, start);
+        let remaining = budget.remaining(start);
         match run_engine(&net, engine, &remaining, attempt_start, options) {
             Ok((metrics, bounds, quality, error_estimate)) => {
                 let now = budget::now();
@@ -352,17 +352,6 @@ pub fn solve_with(
     Err(last_error.unwrap_or_else(|| {
         CoreError::Unsupported("no engine in the routing plan supports this network".into())
     }))
-}
-
-/// Remaining wall-clock slice of `budget` measured from `start`; work caps
-/// pass through unchanged.
-fn remaining_budget(budget: &SolveBudget, start: Instant) -> SolveBudget {
-    SolveBudget {
-        wall_clock: budget
-            .wall_clock
-            .map(|allowance| allowance.saturating_sub(budget::now().duration_since(start))),
-        ..*budget
-    }
 }
 
 fn meets(accuracy: Accuracy, engine: Engine, quality: Quality, error_estimate: f64) -> bool {

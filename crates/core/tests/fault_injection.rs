@@ -13,7 +13,8 @@ use mapqn_core::bounds::{BoundOptions, NetworkBounds, Quality, Rung};
 use mapqn_core::templates::figure5_network;
 use mapqn_core::{
     solve, solve_fluid, Accuracy, AnswerSource, CoreError, Engine, EnsembleRunner,
-    MarginalBoundSolver, PlanningRequest, PlanningSession, Scenario, WhatIf,
+    MarginalBoundSolver, PlanningAnswer, PlanningRequest, PlanningSession, Scenario,
+    SessionOptions, WhatIf,
 };
 use mapqn_faults::FaultSite;
 use mapqn_linalg::SolveBudget;
@@ -315,6 +316,129 @@ fn permanent_request_timeout_degrades_every_request_to_fluid() {
             site: "request-timeout"
         })
     )));
+}
+
+fn session_rungs(answer: &PlanningAnswer) -> Vec<(Rung, bool)> {
+    answer
+        .bounds
+        .diagnostics
+        .attempts
+        .iter()
+        .map(|a| (a.rung, a.error.is_some()))
+        .collect()
+}
+
+/// The session ladder walks its rungs in one fixed order. Each armed site
+/// overrides whatever the CI leg selected, so the sequences hold under
+/// every fault-matrix leg.
+#[test]
+fn session_rung_sequences_are_pinned() {
+    let network = figure5_network(4, 4.0, 0.5).unwrap();
+    let request = PlanningRequest::new("r", vec![]);
+
+    // An expired request budget records the injected timeout as the
+    // direct rung and answers from the fluid engine.
+    let timed_out = {
+        let _guard = mapqn_faults::arm(FaultSite::RequestTimeout, 0, u64::MAX);
+        PlanningSession::new(network.clone()).ask(&request).unwrap()
+    };
+    assert_eq!(
+        session_rungs(&timed_out),
+        vec![(Rung::Direct, true), (Rung::Fluid, false)]
+    );
+    assert!(matches!(
+        timed_out.bounds.diagnostics.attempts[0].error,
+        Some(CoreError::Injected {
+            site: "request-timeout"
+        })
+    ));
+    assert_eq!(timed_out.rung, Rung::Fluid);
+
+    // Permanent LP iteration exhaustion fails all three certified rungs.
+    let exhausted = {
+        let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, u64::MAX);
+        PlanningSession::new(network.clone()).ask(&request).unwrap()
+    };
+    assert_eq!(
+        session_rungs(&exhausted),
+        vec![
+            (Rung::Direct, true),
+            (Rung::Salted, true),
+            (Rung::Tightened, true),
+            (Rung::Fluid, false),
+        ]
+    );
+    assert_eq!(exhausted.rung, Rung::Fluid);
+
+    // A forced-open breaker skips the certified rungs entirely.
+    let short_circuited = {
+        let _guard = mapqn_faults::arm(FaultSite::SessionBreaker, 0, u64::MAX);
+        PlanningSession::new(network.clone()).ask(&request).unwrap()
+    };
+    assert_eq!(session_rungs(&short_circuited), vec![(Rung::Fluid, false)]);
+    assert_eq!(short_circuited.source, AnswerSource::BreakerOpen);
+}
+
+/// When the certified rungs and the fluid engine all fail, the floor
+/// answers — and its diagnostics report the session's budget, like every
+/// other session answer. The certified rungs fail on a one-pivot cap
+/// (faults arm one site at a time, so the cap stands in for a second
+/// armed site) and the fluid engine on an armed non-convergence.
+#[test]
+fn session_floor_answer_reports_the_session_budget() {
+    let budget = SolveBudget {
+        max_pivots: Some(1),
+        ..SolveBudget::unlimited()
+    };
+    let options = SessionOptions {
+        budget,
+        ..SessionOptions::default()
+    };
+    let mut session =
+        PlanningSession::with_options(figure5_network(4, 4.0, 0.5).unwrap(), options);
+    let answer = {
+        let _guard = mapqn_faults::arm(FaultSite::FluidFixedPoint, 0, u64::MAX);
+        session.ask(&PlanningRequest::new("floor", vec![])).unwrap()
+    };
+    assert!(answer.is_valid());
+    assert_eq!(answer.rung, Rung::Floor);
+    assert_eq!(answer.bounds.quality, Quality::Asymptotic);
+    assert_eq!(
+        session_rungs(&answer),
+        vec![
+            (Rung::Direct, true),
+            (Rung::Salted, true),
+            (Rung::Tightened, true),
+            (Rung::Fluid, true),
+            (Rung::Floor, false),
+        ]
+    );
+    assert_eq!(answer.bounds.diagnostics.budget, budget);
+}
+
+/// A cache hit reports the rung that produced the cached answer: with only
+/// the direct rung failed (one injected iteration limit in the revised
+/// engine, one in its dense fallback), the salted rung answers, and the
+/// hit on the same key says so.
+#[test]
+fn cache_hit_reports_the_rung_of_the_cached_answer() {
+    let mut session = PlanningSession::new(figure5_network(4, 4.0, 0.5).unwrap());
+    let request = PlanningRequest::new("r", vec![]);
+    let cold = {
+        let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, 2);
+        session.ask(&request).unwrap()
+    };
+    assert_eq!(
+        session_rungs(&cold),
+        vec![(Rung::Direct, true), (Rung::Salted, false)]
+    );
+    assert_eq!(cold.rung, Rung::Salted);
+    let hit = {
+        let _guard = quiet();
+        session.ask(&request).unwrap()
+    };
+    assert_eq!(hit.source, AnswerSource::CacheHit);
+    assert_eq!(hit.rung, Rung::Salted);
 }
 
 /// A one-shot `session-breaker` forces exactly one request onto the

@@ -123,6 +123,21 @@ impl SolveBudget {
         }
     }
 
+    /// What is left of this budget at the current instant when it was
+    /// anchored at `start`: the wall-clock allowance minus the time since
+    /// `start`, saturating at zero; caps pass through and an unlimited
+    /// budget stays unlimited. Used by the degradation ladders to hand
+    /// each rung the remainder of one shared allowance.
+    #[must_use]
+    pub fn remaining(&self, start: Instant) -> Self {
+        Self {
+            wall_clock: self
+                .wall_clock
+                .map(|allowance| allowance.saturating_sub(now().duration_since(start))),
+            ..*self
+        }
+    }
+
     /// Anchors this budget at `start`, producing the engine-facing form
     /// with the LP pivot cap as its work cap.
     #[must_use]
@@ -271,6 +286,29 @@ mod tests {
         assert_eq!(half.max_pivots, Some(1_000));
         assert!(SolveBudget::unlimited().is_unlimited());
         assert!(SolveBudget::default().is_unlimited());
+    }
+
+    #[test]
+    fn remaining_saturates_and_passes_caps_through() {
+        let budget = SolveBudget {
+            wall_clock: Some(Duration::from_millis(5)),
+            max_pivots: Some(1_000),
+            max_sweep_work: Some(2_000),
+        };
+        let expired = budget.remaining(Instant::now() - Duration::from_secs(1));
+        assert_eq!(expired.wall_clock, Some(Duration::ZERO));
+        assert_eq!(expired.max_pivots, Some(1_000));
+        assert_eq!(expired.max_sweep_work, Some(2_000));
+        let fresh = budget.remaining(Instant::now() + Duration::from_secs(1));
+        assert_eq!(fresh.wall_clock, Some(Duration::from_millis(5)));
+        let caps_only = SolveBudget {
+            wall_clock: None,
+            ..budget
+        };
+        assert_eq!(caps_only.remaining(Instant::now()), caps_only);
+        assert!(SolveBudget::unlimited()
+            .remaining(Instant::now() - Duration::from_secs(1))
+            .is_unlimited());
     }
 
     #[test]

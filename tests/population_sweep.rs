@@ -14,13 +14,17 @@
 //!   interval, exercised on a network whose station 0 has a self-loop and
 //!   whose visit ratios are non-unit.
 
-use mapqn::core::bounds::{EnsembleRunner, NetworkBounds, PopulationSweep, Scenario};
+use mapqn::core::bounds::{
+    BoundOptions, EnsembleRunner, NetworkBounds, PopulationSweep, Quality, Scenario,
+};
 use mapqn::core::random_models::{random_model, RandomModelSpec};
 use mapqn::core::templates::figure5_network;
 use mapqn::core::{solve_exact, MarginalBoundSolver, PerformanceIndex};
+use mapqn::linalg::SolveBudget;
 use mapqn::lp::{LpStatus, RevisedSimplex, Sense, SimplexEngine, SimplexOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use std::time::Duration;
 
 fn dense_options() -> SimplexOptions {
     SimplexOptions {
@@ -338,4 +342,29 @@ fn bound_all_solves_the_dedicated_system_throughput_objective() {
     let r = solver.response_time_bounds().unwrap();
     assert!(r.contains(exact.system_response_time, 1e-6));
     assert_eq!(solver.stats().dense_fallbacks, 0);
+}
+
+/// A sweep answer carries the same diagnostics as a `bound_all` answer:
+/// the budget the sweep runs under and the wall clock the population took,
+/// with no ladder attempts on the undegraded path.
+#[test]
+fn sweep_answers_carry_the_sweep_budget_and_consumed_time() {
+    let network = figure5_network(1, 4.0, 0.5).unwrap();
+    let budget = SolveBudget {
+        wall_clock: Some(Duration::from_secs(600)),
+        max_pivots: Some(1_000_000),
+        max_sweep_work: None,
+    };
+    let options = BoundOptions {
+        budget,
+        ..BoundOptions::default()
+    };
+    let mut sweep = PopulationSweep::with_options(&network, options).unwrap();
+    for n in 1..=3 {
+        let bounds = sweep.bounds_at(n).unwrap();
+        assert_eq!(bounds.quality, Quality::Certified);
+        assert_eq!(bounds.diagnostics.budget, budget, "N={n}");
+        assert!(bounds.diagnostics.consumed > Duration::ZERO, "N={n}");
+        assert!(bounds.diagnostics.attempts.is_empty(), "N={n}");
+    }
 }

@@ -37,7 +37,7 @@ use crate::metrics::NetworkMetrics;
 use crate::network::{ClosedNetwork, StationKind};
 use crate::statespace::build_state_space;
 use crate::Result;
-use mapqn_markov::{stationary_auto, stationary_sparse_op, SparseSteadyOptions, SteadyStateOptions};
+use mapqn_markov::{stationary_auto, stationary_sparse_op, SteadyStateOptions};
 
 /// How the exact solver represents the CTMC generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -157,15 +157,10 @@ fn solve_exact_factored(
     op: &FactoredGenerator,
     options: &ExactOptions,
 ) -> Result<NetworkMetrics> {
-    // Mirror `stationary_auto`'s option merge for its sparse branch: the
+    // The same option merge as `stationary_auto`'s sparse branch: the
     // caller's headline tolerance / iteration cap constrain the sparse
     // engine the same way whichever representation runs.
-    let ss = &options.steady_state;
-    let sparse_options = SparseSteadyOptions {
-        tolerance: ss.sparse.tolerance.min(ss.tolerance),
-        max_sweeps: ss.sparse.max_sweeps.min(ss.max_iterations),
-        ..ss.sparse
-    };
+    let sparse_options = options.steady_state.sparse_options();
     let report = stationary_sparse_op(op, &sparse_options).map_err(crate::CoreError::from)?;
     let pi = report.pi;
 

@@ -23,22 +23,25 @@
 //! mix** ([`mapqn_stochastic::Map::phase_mix`], `theta D1 1 = 1 / mean`):
 //! in the mean-field limit the phase process of a busy server mixes on a
 //! faster time scale than the queue contents, so only its long-run rate
-//! survives. This collapse is what makes one iteration `O(M · phases)` —
-//! the phase structure enters once, through `mu_k`, independent of `N`.
+//! survives. This collapse is what makes the solve cost independent of
+//! `N` — the phase structure enters once, through `mu_k`.
 //!
-//! The engine solves for the fixed point `dx/dt = 0` by **damped Euler
-//! iteration from a bottleneck-aware initial guess** (the closed-form
-//! allocation that parks the surplus population on the highest-demand
-//! queues), then reports queue lengths, utilizations and throughput. The
-//! reported queue lengths additionally carry a **finite-N variance
-//! redistribution**: each sub-saturated queue is granted the
-//! Pollaczek-Khinchine backlog `rho^2 (c_a^2 + c_s^2) / (2 (1 - rho))`
-//! that service and arrival variability park behind it (a saturated MAP
-//! bottleneck's index of dispersion sets the arrival term for the whole
-//! circulation), and the vector is renormalized so `sum q = N` stays
-//! exact — without it, every high-SCV model would need populations in the
-//! hundreds before the pure drift answer is usable. The
-//! fixed-point throughput equals the asymptotic-bound value
+//! The fixed point `dx/dt = 0` has a **closed form**: the
+//! bottleneck-aware allocation that gives every station its
+//! demand-proportional share at the asymptotic throughput and parks the
+//! surplus population on the highest-demand queues. The engine computes
+//! it directly and then **certifies** it with one evaluation of the drift
+//! residual; an allocation that fails the certificate is reported as
+//! non-convergence rather than returned. From the certified allocation it
+//! reports queue lengths, utilizations and throughput. The reported queue
+//! lengths additionally carry a **finite-N variance redistribution**: each
+//! sub-saturated queue is granted the Pollaczek-Khinchine backlog
+//! `rho^2 (c_a^2 + c_s^2) / (2 (1 - rho))` that service and arrival
+//! variability park behind it (a saturated MAP bottleneck's index of
+//! dispersion sets the arrival term for the whole circulation), and the
+//! vector is renormalized so `sum q = N` stays exact — without it, every
+//! high-SCV model would need populations in the hundreds before the pure
+//! drift answer is usable. The fixed-point throughput equals the asymptotic-bound value
 //! `min(1 / D_max, N / (Z + sum_k D_k))` — the fluid limit is exact where
 //! the ABA bound is tight, and the approximation error at finite `N`
 //! decays like `1/N` past the knee `N* = (Z + sum_k D_k) / D_max`. The
@@ -52,30 +55,19 @@ use crate::network::{ClosedNetwork, StationKind};
 use crate::service::Service;
 use crate::{CoreError, Result};
 
-/// Options of the fluid fixed-point iteration.
+/// Options of the fluid solve.
 #[derive(Debug, Clone, Copy)]
 pub struct FluidOptions {
-    /// Convergence tolerance on the drift residual, relative to the
-    /// largest station completion rate: the iteration stops when
-    /// `max_k |dx_k/dt| <= tolerance * max_k r_k`.
+    /// Certificate tolerance on the drift residual, relative to the
+    /// largest station completion rate: the closed-form fixed point is
+    /// accepted when `max_k |dx_k/dt| <= tolerance * max_k r_k` and
+    /// reported as [`mapqn_markov::MarkovError::NoConvergence`] otherwise.
     pub tolerance: f64,
-    /// Iteration cap; exceeding it is reported as
-    /// [`mapqn_markov::MarkovError::NoConvergence`].
-    pub max_iterations: usize,
-    /// Euler step safety factor in `(0, 1]`: the step is
-    /// `damping / max_k mu_k`, so `1.0` steps at the stability limit of
-    /// the stiffest station and smaller values trade iterations for
-    /// robustness on near-tied bottlenecks.
-    pub damping: f64,
 }
 
 impl Default for FluidOptions {
     fn default() -> Self {
-        Self {
-            tolerance: 1e-10,
-            max_iterations: 50_000,
-            damping: 0.8,
-        }
+        Self { tolerance: 1e-10 }
     }
 }
 
@@ -95,15 +87,16 @@ pub struct FluidSolution {
     /// Index of (one of) the bottleneck queue(s): the queue of maximal
     /// service demand `D_k = v_k / mu_k`.
     pub bottleneck: usize,
-    /// Damped-Euler iterations performed before the residual test passed.
+    /// Iterations performed: always `0`, because the closed form already
+    /// is the fixed point. Kept so callers that record it keep compiling.
     pub iterations: usize,
     /// Final drift residual `max_k |dx_k/dt|`, relative to the largest
     /// station completion rate.
     pub residual: f64,
 }
 
-/// Per-station rate/demand profile shared by the initial guess, the
-/// iteration and the asymptotic fractions.
+/// Per-station rate/demand profile shared by the closed form, the
+/// certificate and the asymptotic fractions.
 struct Profile {
     /// Per-server long-run completion rate `mu_k` (phase-mix effective
     /// rate for MAP service).
@@ -182,11 +175,11 @@ fn profile(network: &ClosedNetwork) -> Result<Profile> {
     })
 }
 
-/// Bottleneck-aware closed-form guess: every station holds its
+/// Bottleneck-aware closed-form fixed point: every station holds its
 /// demand-proportional share `lambda_0 D_k` at the asymptotic throughput
 /// `lambda_0 = min(1 / D_max, N / (Z + sum D))`; whatever population that
 /// leaves over is parked, in equal parts, on the bottleneck queue(s).
-fn initial_guess(p: &Profile, population: f64) -> Vec<f64> {
+fn closed_form(p: &Profile, population: f64) -> Vec<f64> {
     let lambda0 = (1.0 / p.max_demand).min(population / (p.think_demand + p.queue_demand));
     let mut x: Vec<f64> = p.demands.iter().map(|d| lambda0 * d).collect();
     let assigned: f64 = x.iter().sum();
@@ -195,7 +188,7 @@ fn initial_guess(p: &Profile, population: f64) -> Vec<f64> {
     for &k in &p.bottlenecks {
         x[k] += share;
     }
-    // Exact population conservation from the very first iterate.
+    // Exact population conservation.
     let total: f64 = x.iter().sum();
     if total > 0.0 {
         let scale = population / total;
@@ -235,6 +228,24 @@ fn completion_rates(network: &ClosedNetwork, p: &Profile, x: &[f64], r: &mut [f6
     }
 }
 
+/// Drift residual `max_k |dx_k/dt|` of the completion rates `r`, relative
+/// to the largest of them.
+fn drift_residual(network: &ClosedNetwork, r: &[f64]) -> f64 {
+    let mut r_max = 0.0_f64;
+    let mut max_drift = 0.0_f64;
+    for k in 0..r.len() {
+        // drift_k = inflow_k - r_k, inflow through the routing transpose.
+        let mut inflow = 0.0;
+        for (j, &rate) in r.iter().enumerate() {
+            inflow += rate * network.routing(j, k);
+        }
+        max_drift = max_drift.max((inflow - r[k]).abs());
+        r_max = r_max.max(r[k]);
+    }
+    let scale = if r_max > 0.0 { r_max } else { 1.0 };
+    max_drift / scale
+}
+
 /// Solves the mean-field fixed point with default options.
 ///
 /// # Errors
@@ -244,11 +255,10 @@ pub fn solve_fluid(network: &ClosedNetwork) -> Result<FluidSolution> {
 }
 
 /// Solves the mean-field fixed point of `network` at its configured
-/// population.
-///
-/// Cost per iteration is `O(M^2)` in the station count (one routing-matrix
-/// transpose application) and **independent of the population** — the
-/// population enters only as the conserved mass of the drift system.
+/// population: the closed-form allocation, certified by one `O(M^2)`
+/// drift-residual evaluation (one routing-matrix transpose application).
+/// The cost is **independent of the population** — the population enters
+/// only as the conserved mass of the drift system.
 ///
 /// # Errors
 /// * [`CoreError::Unsupported`] for delay-only networks (no queue to
@@ -256,8 +266,9 @@ pub fn solve_fluid(network: &ClosedNetwork) -> Result<FluidSolution> {
 /// * [`CoreError::InvalidNetwork`] for zero population or non-positive
 ///   effective rates;
 /// * [`mapqn_markov::MarkovError::NoConvergence`] (wrapped in
-///   [`CoreError::Markov`]) when the damped iteration exhausts
-///   [`FluidOptions::max_iterations`] — also the failure injected by the
+///   [`CoreError::Markov`]) when the closed form fails its drift-residual
+///   certificate at [`FluidOptions::tolerance`] — also the failure injected
+///   by the
 ///   `fluid-nonconvergence` fault site, which the [`mod@crate::solve`] router
 ///   degrades past (down to the algebraic asymptotic floor) instead of
 ///   surfacing.
@@ -272,66 +283,22 @@ pub fn solve_fluid_with(network: &ClosedNetwork, options: &FluidOptions) -> Resu
     let p = profile(network)?;
     let population = n as f64;
 
-    let mut x = initial_guess(&p, population);
+    let mut x = closed_form(&p, population);
     let mut r = vec![0.0; m];
-    let mut drift = vec![0.0; m];
 
-    // Stability limit of explicit Euler on the stiffest station; `damping`
-    // keeps the step strictly inside it.
-    let mu_max = p.mu.iter().cloned().fold(0.0_f64, f64::max);
-    let step = options.damping.clamp(1e-3, 1.0) / mu_max;
-
-    // The injected fluid failure: the engine abandons the solve exactly as
-    // it would after a genuinely non-convergent iteration, so the callers'
+    // The injected fluid failure fails the certificate, so the callers'
     // degradation paths see the real error shape.
-    if mapqn_faults::fire(mapqn_faults::FaultSite::FluidFixedPoint) {
+    let residual = if mapqn_faults::fire(mapqn_faults::FaultSite::FluidFixedPoint) {
+        f64::INFINITY
+    } else {
+        completion_rates(network, &p, &x, &mut r);
+        drift_residual(network, &r)
+    };
+    if residual > options.tolerance {
         return Err(CoreError::Markov(mapqn_markov::MarkovError::NoConvergence {
             iterations: 0,
-            residual: f64::INFINITY,
+            residual,
         }));
-    }
-
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-    for iter in 0..=options.max_iterations {
-        completion_rates(network, &p, &x, &mut r);
-
-        // drift_k = inflow_k - r_k, inflow through the routing transpose.
-        let mut r_max = 0.0_f64;
-        for k in 0..m {
-            let mut inflow = 0.0;
-            for (j, &rate) in r.iter().enumerate() {
-                inflow += rate * network.routing(j, k);
-            }
-            drift[k] = inflow - r[k];
-            r_max = r_max.max(r[k]);
-        }
-        let scale = if r_max > 0.0 { r_max } else { 1.0 };
-        residual = drift.iter().fold(0.0_f64, |a, d| a.max(d.abs())) / scale;
-        iterations = iter;
-        if residual <= options.tolerance {
-            break;
-        }
-        if iter == options.max_iterations {
-            return Err(CoreError::Markov(mapqn_markov::MarkovError::NoConvergence {
-                iterations,
-                residual,
-            }));
-        }
-
-        for k in 0..m {
-            x[k] = (x[k] + step * drift[k]).max(0.0);
-        }
-        // The drift conserves total mass exactly (routing rows are
-        // stochastic); renormalizing here only repairs the clamp above and
-        // floating-point drift, keeping `sum x = N` an invariant.
-        let total: f64 = x.iter().sum();
-        if total > 0.0 {
-            let scale = population / total;
-            for v in &mut x {
-                *v *= scale;
-            }
-        }
     }
 
     // Final exact renormalization so `sum q = N` holds to round-off.
@@ -441,7 +408,7 @@ pub fn solve_fluid_with(network: &ClosedNetwork, options: &FluidOptions) -> Resu
         },
         fractions,
         bottleneck,
-        iterations,
+        iterations: 0,
         residual,
     })
 }

@@ -103,7 +103,11 @@ impl ClosedNetwork {
     /// * there are no stations, or the population is zero;
     /// * the routing matrix is not `M x M` or not stochastic;
     /// * a delay station has non-exponential service.
-    pub fn new(stations: Vec<Station>, routing: DMatrix, population: usize) -> Result<Self> {
+    ///
+    /// Round-off negatives in the routing matrix (down to `-1e-8`) are
+    /// accepted and stored as exactly `0.0`, so no engine ever sees a
+    /// negative routing probability.
+    pub fn new(stations: Vec<Station>, mut routing: DMatrix, population: usize) -> Result<Self> {
         let m = stations.len();
         if m == 0 {
             return Err(CoreError::InvalidNetwork(
@@ -142,7 +146,10 @@ impl ClosedNetwork {
                         stations[i].name
                     )));
                 }
-                row_sum += p;
+                if p < 0.0 {
+                    routing[(i, j)] = 0.0;
+                }
+                row_sum += routing[(i, j)];
             }
             if (row_sum - 1.0).abs() > 1e-8 {
                 return Err(CoreError::InvalidNetwork(format!(

@@ -3,7 +3,7 @@
 //! case studies — exact population conservation, the asymptotic-bound
 //! ceiling on throughput, monotonicity in the population, bitwise
 //! population-independence of the asymptotic fractions, and the residual
-//! contract of the damped fixed-point iteration.
+//! certificate of the closed-form fixed point.
 
 use mapqn_core::bounds::aba_bounds;
 use mapqn_core::random_models::{random_model, RandomModelSpec};
@@ -95,22 +95,28 @@ proptest! {
         prop_assert_eq!(at_1k.bottleneck, at_1m.bottleneck);
     }
 
-    /// The solver's convergence report is honest: on any random ergodic
-    /// model the final drift residual is at or below the requested
+    /// The solver's certificate is honest: on any random ergodic model the
+    /// drift residual of the closed form is at or below the requested
     /// tolerance (or the solve errors — it never returns a silently
-    /// unconverged answer).
+    /// uncertified answer), no iteration runs, and the closed form also
+    /// certifies at the default tolerance.
     #[test]
     fn residual_honors_the_tolerance(seed in 0u64..1024, n in 1usize..1_000) {
         let network = random_network(seed, n);
-        let options = FluidOptions {
-            tolerance: 1e-8,
-            ..FluidOptions::default()
-        };
+        let options = FluidOptions { tolerance: 1e-8 };
         let fluid = solve_fluid_with(&network, &options).unwrap();
         prop_assert!(
             fluid.residual <= 1e-8,
             "residual {} above the requested tolerance",
             fluid.residual
         );
+        prop_assert_eq!(fluid.iterations, 0);
+        let default = solve_fluid(&network).unwrap();
+        prop_assert!(
+            default.residual <= FluidOptions::default().tolerance,
+            "residual {} above the default tolerance",
+            default.residual
+        );
+        prop_assert_eq!(default.iterations, 0);
     }
 }

@@ -241,6 +241,27 @@ fn delay_only_network_still_answers() {
     assert!((answer.metrics.system_throughput - 3.0).abs() < 1e-9);
 }
 
+/// A round-off negative routing entry that the constructor accepts is
+/// stored as exactly zero, so every solver downstream accepts the model too.
+#[test]
+fn round_off_negative_routing_is_accepted_end_to_end() {
+    let _guard = quiet();
+    let network = ClosedNetwork::new(
+        vec![
+            mapqn_core::Station::queue("a", mapqn_core::Service::exponential(1.0).unwrap()),
+            mapqn_core::Station::queue("b", mapqn_core::Service::exponential(2.0).unwrap()),
+        ],
+        mapqn_linalg::DMatrix::from_row_slice(2, 2, &[-1e-10, 1.0, 1.0, 0.0]),
+        3,
+    )
+    .unwrap();
+    assert_eq!(network.routing(0, 0).to_bits(), 0.0_f64.to_bits());
+    let visits = network.visit_ratios().unwrap();
+    assert_eq!(visits.len(), 2);
+    let answer = solve(&network, 3, Accuracy::Exact, SolveBudget::unlimited()).unwrap();
+    assert!(answer.accuracy_met);
+}
+
 /// `solve_with` honors custom caps: squeezing the exact state cap reroutes
 /// a previously exact request onto the asymptotic rungs.
 #[test]

@@ -27,72 +27,6 @@ pub fn left_residual_sparse(a: &CsrMatrix, x: &DVector) -> Result<f64> {
     Ok(a.vecmat(x)?.norm_inf())
 }
 
-/// Result of an iterative computation: the vector produced, the number of
-/// iterations used and the final residual.
-#[derive(Debug, Clone)]
-pub struct IterationResult {
-    /// The computed vector.
-    pub vector: DVector,
-    /// Number of iterations performed.
-    pub iterations: usize,
-    /// Final residual (meaning depends on the method).
-    pub residual: f64,
-}
-
-/// Power iteration for the dominant left eigenvector of a non-negative
-/// matrix `P` (typically a stochastic matrix, where the dominant eigenvalue
-/// is one and the eigenvector is the stationary distribution).
-///
-/// The iterate is renormalized to unit sum each step, so for a stochastic
-/// matrix the result converges to the stationary probability vector.
-///
-/// # Errors
-/// * [`LinalgError::NotSquare`] if `p` is not square.
-/// * [`LinalgError::NoConvergence`] if the residual does not drop below
-///   `tol` within `max_iter` iterations.
-pub fn power_iteration_left(
-    p: &CsrMatrix,
-    tol: f64,
-    max_iter: usize,
-) -> Result<IterationResult> {
-    if p.nrows() != p.ncols() {
-        return Err(LinalgError::NotSquare {
-            dims: (p.nrows(), p.ncols()),
-        });
-    }
-    let n = p.nrows();
-    if n == 0 {
-        return Err(LinalgError::InvalidArgument(
-            "power iteration on empty matrix",
-        ));
-    }
-    let mut x = DVector::constant(n, 1.0 / n as f64);
-    let mut residual = f64::INFINITY;
-    for it in 1..=max_iter {
-        let mut y = p.vecmat(&x)?;
-        let sum = y.sum();
-        if sum <= 0.0 || !sum.is_finite() {
-            return Err(LinalgError::InvalidArgument(
-                "power iteration produced a non-positive iterate; matrix is not substochastic-irreducible",
-            ));
-        }
-        y.scale(1.0 / sum);
-        residual = y.max_abs_diff(&x)?;
-        x = y;
-        if residual < tol {
-            return Ok(IterationResult {
-                vector: x,
-                iterations: it,
-                residual,
-            });
-        }
-    }
-    Err(LinalgError::NoConvergence {
-        iterations: max_iter,
-        residual,
-    })
-}
-
 /// Estimates the spectral radius of a square matrix via power iteration on
 /// the right (returns the dominant eigenvalue magnitude). Intended for small
 /// dense matrices such as MAP embedded-correlation matrices.
@@ -194,45 +128,6 @@ pub fn gauss_seidel_left_sweep(
 mod tests {
     use super::*;
     use crate::approx_eq;
-
-    #[test]
-    fn power_iteration_finds_stationary_distribution() {
-        // Two-state chain: stationary distribution (2/3, 1/3).
-        let p = CsrMatrix::from_triplets(
-            2,
-            2,
-            &[(0, 0, 0.9), (0, 1, 0.1), (1, 0, 0.2), (1, 1, 0.8)],
-        )
-        .unwrap();
-        let result = power_iteration_left(&p, 1e-12, 10_000).unwrap();
-        assert!(approx_eq(result.vector[0], 2.0 / 3.0, 1e-8));
-        assert!(approx_eq(result.vector[1], 1.0 / 3.0, 1e-8));
-        assert!(result.iterations > 0);
-        assert!(result.residual < 1e-12);
-    }
-
-    #[test]
-    fn power_iteration_rejects_non_square() {
-        let p = CsrMatrix::zeros(2, 3);
-        assert!(power_iteration_left(&p, 1e-10, 10).is_err());
-    }
-
-    #[test]
-    fn power_iteration_reports_no_convergence() {
-        // A periodic chain oscillates and the sup-norm difference never
-        // drops, so the strict tolerance cannot be reached in few iterations
-        // starting from a perturbed vector... the uniform start vector is the
-        // exact stationary vector here, so instead use an asymmetric chain
-        // and an absurdly small iteration budget.
-        let p = CsrMatrix::from_triplets(
-            2,
-            2,
-            &[(0, 0, 0.5), (0, 1, 0.5), (1, 0, 0.9), (1, 1, 0.1)],
-        )
-        .unwrap();
-        let res = power_iteration_left(&p, 1e-16, 1);
-        assert!(matches!(res, Err(LinalgError::NoConvergence { .. })));
-    }
 
     #[test]
     fn spectral_radius_of_diagonal_matrix() {

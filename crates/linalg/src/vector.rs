@@ -2,7 +2,7 @@
 //! queueing-network solvers.
 //!
 //! [`DVector`] is a thin newtype over `Vec<f64>` so that vector semantics
-//! (dot products, axpy updates, norms, normalization to a probability
+//! (dot products, scaling, norms, normalization to a probability
 //! vector) live in one place and are tested once.
 
 use crate::{LinalgError, Result};
@@ -103,24 +103,6 @@ impl DVector {
             .zip(other.data.iter())
             .map(|(a, b)| a * b)
             .sum())
-    }
-
-    /// In-place `self += alpha * other` (the BLAS `axpy` update).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn axpy(&mut self, alpha: f64, other: &DVector) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "axpy",
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
     }
 
     /// Multiplies every entry by `alpha` in place.
@@ -292,14 +274,6 @@ mod tests {
         let a = DVector::zeros(2);
         let b = DVector::zeros(3);
         assert!(a.dot(&b).is_err());
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut a = DVector::from_vec(vec![1.0, 1.0]);
-        let b = DVector::from_vec(vec![2.0, -3.0]);
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.as_slice(), &[2.0, -0.5]);
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use crate::ctmc::Ctmc;
 use crate::{MarkovError, Result};
-use mapqn_linalg::{CsrMatrix, DVector, GeneratorOp};
+use mapqn_linalg::{DVector, GeneratorOp};
 use mapqn_par::{ScopedPool, WorkPool};
 
 /// Whether `MAPQN_SPARSE_DEBUG` residual tracing is on — read once per
@@ -185,7 +185,7 @@ pub struct SparseSteadyReport {
 /// `WorkPool` (the benchmark baseline). Both cut `data` at the same
 /// `chunk_len` boundaries, so the two modes — and every worker count —
 /// are bitwise identical.
-pub(crate) enum ParExec<'a> {
+enum ParExec<'a> {
     /// Rounds reuse the parked workers of one `WorkPool::scoped` region.
     Persistent(&'a ScopedPool<'a>),
     /// Every round spawns and joins its own threads.
@@ -193,7 +193,7 @@ pub(crate) enum ParExec<'a> {
 }
 
 impl ParExec<'_> {
-    pub(crate) fn for_each_chunk<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
+    fn for_each_chunk<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
     where
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
@@ -211,7 +211,7 @@ impl ParExec<'_> {
 /// *and* implicit representations alike, because each output entry of a
 /// [`GeneratorOp::left_apply_rows_into`] block depends only on `x` and its
 /// own row.
-pub(crate) fn par_left_apply<O: GeneratorOp + ?Sized>(
+fn par_left_apply<O: GeneratorOp + ?Sized>(
     exec: &ParExec<'_>,
     op: &O,
     block_len: usize,
@@ -223,25 +223,11 @@ pub(crate) fn par_left_apply<O: GeneratorOp + ?Sized>(
     });
 }
 
-/// CSR-typed alias of [`par_left_apply`] kept for the transient engine:
-/// `at` is `A^T` and the apply is its row-block matvec.
-pub(crate) fn par_left_mul(
-    exec: &ParExec<'_>,
-    at: &CsrMatrix,
-    block_len: usize,
-    x: &[f64],
-    out: &mut [f64],
-) {
-    par_left_apply(exec, at, block_len, x, out);
-}
-
 /// The worker count a solve should use, from the requested width and the
 /// per-round work: rounds below the work threshold stay serial (the
 /// handshake would be a measurable fraction of the round), everything else
-/// fans out to `workers` (0 = [`mapqn_par::default_threads`]). Shared by
-/// the stationary engine and the transient uniformization path so the
-/// policy cannot drift between them.
-pub(crate) fn effective_workers(per_round_work: usize, threshold: usize, workers: usize) -> usize {
+/// fans out to `workers` (0 = [`mapqn_par::default_threads`]).
+fn effective_workers(per_round_work: usize, threshold: usize, workers: usize) -> usize {
     if per_round_work < threshold {
         1
     } else if workers == 0 {

@@ -1,6 +1,6 @@
 //! Stationary distribution solvers for CTMCs.
 //!
-//! Three complementary algorithms are provided:
+//! Two complementary algorithms are provided:
 //!
 //! * **GTH elimination** (Grassmann–Taksar–Heyman) on a dense copy of the
 //!   generator. GTH performs Gaussian elimination using only additions of
@@ -11,10 +11,9 @@
 //!   row-block-parallel Gauss–Seidel / Jacobi-preconditioned iterations on
 //!   the CSR generator with a residual-based (`‖πQ‖_∞`) stopping rule —
 //!   the path that carries the paper's exact ("global balance") validation
-//!   references into the `10^5`–`10^7`-state regime.
-//! * **Plain power iteration on the globally uniformized chain**
-//!   ([`stationary_iterative`]), kept as the simplest iterative baseline
-//!   and as the sparse engine's most conservative internal fallback.
+//!   references into the `10^5`–`10^7`-state regime. Its most
+//!   conservative internal fallback is plain power iteration on the
+//!   globally uniformized chain.
 //!
 //! [`stationary_auto`] picks GTH below
 //! [`SteadyStateOptions::dense_threshold`] states and the sparse engine
@@ -25,14 +24,17 @@ use crate::sparse_steady::{stationary_sparse, SparseSteadyOptions};
 use crate::{MarkovError, Result};
 use mapqn_linalg::{norms, DVector};
 
-/// Options controlling the iterative solvers and the automatic selection.
+/// Options controlling the automatic dense/sparse selection and the routed
+/// sparse solve.
 #[derive(Debug, Clone, Copy)]
 pub struct SteadyStateOptions {
-    /// Convergence tolerance: the sup-norm change of the iterate for
-    /// [`stationary_iterative`] (legacy power path); the sparse engine uses
-    /// the residual-based tolerance in [`SteadyStateOptions::sparse`].
+    /// Legacy tolerance knob: the routed sparse solve runs at the tighter
+    /// of this and [`SparseSteadyOptions::tolerance`] (see
+    /// [`SteadyStateOptions::sparse_options`]).
     pub tolerance: f64,
-    /// Maximum number of iterations of the legacy power method.
+    /// Legacy work cap: the routed sparse solve runs at most the smaller
+    /// of this and [`SparseSteadyOptions::max_sweeps`] sweeps (see
+    /// [`SteadyStateOptions::sparse_options`]).
     pub max_iterations: usize,
     /// State-count threshold below which the dense GTH solver is used by
     /// [`stationary_auto`].
@@ -49,6 +51,21 @@ impl Default for SteadyStateOptions {
             max_iterations: 200_000,
             dense_threshold: 2_000,
             sparse: SparseSteadyOptions::default(),
+        }
+    }
+}
+
+impl SteadyStateOptions {
+    /// The options of the routed sparse solve: [`Self::sparse`] at the
+    /// *tighter* of the legacy and sparse tolerances and the *smaller* of
+    /// the two work budgets, so a caller that set the legacy knobs keeps
+    /// its bound instead of having the fields silently ignored.
+    #[must_use]
+    pub fn sparse_options(&self) -> SparseSteadyOptions {
+        SparseSteadyOptions {
+            tolerance: self.sparse.tolerance.min(self.tolerance),
+            max_sweeps: self.sparse.max_sweeps.min(self.max_iterations),
+            ..self.sparse
         }
     }
 }
@@ -119,52 +136,19 @@ pub fn stationary_dense_gth(ctmc: &Ctmc) -> Result<DVector> {
     Ok(result)
 }
 
-/// Computes the stationary distribution by power iteration on the
-/// uniformized chain `P = I + Q / q`.
-///
-/// # Errors
-/// Returns [`MarkovError::NoConvergence`] when the iteration does not reach
-/// the requested tolerance within the iteration budget.
-pub fn stationary_iterative(ctmc: &Ctmc, options: &SteadyStateOptions) -> Result<DVector> {
-    let (p, _q) = ctmc.uniformized(0.05);
-    match norms::power_iteration_left(&p, options.tolerance, options.max_iterations) {
-        Ok(result) => {
-            let mut pi = result.vector;
-            pi.clamp_small_negatives(1e-15);
-            let _ = pi.normalize_sum();
-            Ok(pi)
-        }
-        Err(mapqn_linalg::LinalgError::NoConvergence {
-            iterations,
-            residual,
-        }) => Err(MarkovError::NoConvergence {
-            iterations,
-            residual,
-        }),
-        Err(e) => Err(MarkovError::from(e)),
-    }
-}
-
 /// Computes the stationary distribution, choosing the dense GTH solver for
 /// small chains and the sparse preconditioned engine
 /// ([`crate::sparse_steady::stationary_sparse`]) for large ones.
 ///
-/// The legacy `tolerance` / `max_iterations` knobs still bound the routed
-/// sparse solve: the engine runs at the *tighter* of the legacy and sparse
-/// tolerances and the *smaller* of the two work budgets, so a caller that
-/// capped the old power path keeps its bound instead of having the fields
-/// silently ignored.
+/// The sparse engine runs with [`SteadyStateOptions::sparse_options`], so
+/// the legacy `tolerance` / `max_iterations` knobs still bound it.
 ///
 /// # Errors
 /// Propagates the error of whichever solver was selected; if GTH fails due
 /// to reducibility the sparse engine is tried as a fallback (its internal
 /// power path handles reducible generators).
 pub fn stationary_auto(ctmc: &Ctmc, options: &SteadyStateOptions) -> Result<DVector> {
-    let sparse_options = SparseSteadyOptions {
-        tolerance: options.sparse.tolerance.min(options.tolerance),
-        max_sweeps: options.sparse.max_sweeps.min(options.max_iterations),
-        ..options.sparse
-    };
+    let sparse_options = options.sparse_options();
     if ctmc.num_states() <= options.dense_threshold {
         match stationary_dense_gth(ctmc) {
             Ok(pi) => Ok(pi),
@@ -222,23 +206,15 @@ mod tests {
     }
 
     #[test]
-    fn iterative_matches_gth() {
-        let ctmc = birth_death(10, 3.0, 2.0);
-        let dense = stationary_dense_gth(&ctmc).unwrap();
-        let iter = stationary_iterative(&ctmc, &SteadyStateOptions::default()).unwrap();
-        assert!(dense.max_abs_diff(&iter).unwrap() < 1e-8);
-    }
-
-    #[test]
     fn auto_picks_a_working_solver() {
         let ctmc = birth_death(4, 1.0, 1.0);
         let opts = SteadyStateOptions {
-            dense_threshold: 2, // force the iterative path
+            dense_threshold: 2, // force the sparse path
             ..SteadyStateOptions::default()
         };
-        let pi_iter = stationary_auto(&ctmc, &opts).unwrap();
+        let pi_sparse = stationary_auto(&ctmc, &opts).unwrap();
         let pi_dense = stationary_auto(&ctmc, &SteadyStateOptions::default()).unwrap();
-        assert!(pi_iter.max_abs_diff(&pi_dense).unwrap() < 1e-8);
+        assert!(pi_sparse.max_abs_diff(&pi_dense).unwrap() < 1e-8);
         // Uniform for symmetric rates.
         for i in 0..4 {
             assert!(approx_eq(pi_dense[i], 0.25, 1e-10));
@@ -262,6 +238,7 @@ mod tests {
         ));
     }
 
+    /// The legacy cap still bounds the routed sparse solve.
     #[test]
     fn no_convergence_is_reported_by_iterative_solver() {
         let ctmc = birth_death(20, 1.0, 1.1);
@@ -272,7 +249,7 @@ mod tests {
             ..SteadyStateOptions::default()
         };
         assert!(matches!(
-            stationary_iterative(&ctmc, &opts),
+            stationary_auto(&ctmc, &opts),
             Err(MarkovError::NoConvergence { .. })
         ));
     }

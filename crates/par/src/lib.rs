@@ -22,7 +22,7 @@
 //!
 //! The build environment has no network access to a crate registry, so the
 //! workspace vendors tiny API-compatible stand-ins for its external
-//! dependencies under `crates/compat/` (`rand`, `proptest`, `criterion`).
+//! dependencies under `crates/compat/` (`rand`, `proptest`).
 //! rayon is different: its value is a work-*stealing* scheduler with
 //! per-thread deques, splittable parallel iterators and a lazily-initialized
 //! global pool — machinery that matters when tasks fork recursively into

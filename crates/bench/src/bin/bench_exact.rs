@@ -2,11 +2,17 @@
 //! the dense GTH ceiling on the paper's validation models and records the
 //! results in `BENCH_exact.json` so future PRs have a perf trajectory.
 //!
-//! Five families of gates travel together:
+//! Six families of gates travel together:
 //!
 //! * **Agreement** — on every model small enough for dense GTH (the
 //!   "overlap" models) the sparse engine's stationary metrics must match the
 //!   dense ones within `1e-8`;
+//! * **Band GTH** — on every overlap model the band GTH solver
+//!   (`stationary_dense_gth`, the path `solve()` takes below the dense
+//!   threshold) must return a stationary vector bitwise equal to the
+//!   `O(n^3)` reference (`gth_reference`), and at the ceiling it must beat
+//!   that reference ≥ 5×. Its speed against the sparse engine is recorded
+//!   without a gate;
 //! * **Scale** — the sparse engine must solve a validation model at least
 //!   10× larger (in states) than the dense ceiling it is replacing, on both
 //!   the figure-5 case-study family and the TPC-W model;
@@ -46,13 +52,13 @@ use mapqn_core::templates::{figure5_network, tpcw_network, TpcwParameters};
 use mapqn_core::{ClosedNetwork, FactoredGenerator};
 use mapqn_linalg::GeneratorOp;
 use mapqn_markov::{
-    stationary_dense_gth, stationary_sparse, stationary_sparse_op, SparseSteadyOptions, SpawnMode,
-    SteadyStateOptions,
+    gth_reference, stationary_dense_gth, stationary_sparse, stationary_sparse_op,
+    SparseSteadyOptions, SpawnMode, SteadyStateOptions,
 };
 use mapqn_par::WorkPool;
 use std::time::Instant;
 
-/// Exact options forcing the dense GTH path.
+/// Exact options forcing the (band) GTH path.
 fn dense_exact_options() -> ExactOptions {
     ExactOptions {
         steady_state: SteadyStateOptions {
@@ -90,30 +96,48 @@ fn max_metric_diff(a: &NetworkMetrics, b: &NetworkMetrics) -> f64 {
 struct OverlapResult {
     name: String,
     states: usize,
+    /// The `O(n^3)` reference GTH (`gth_reference`).
     dense_ms: f64,
+    /// Band GTH (`stationary_dense_gth`).
+    band_ms: f64,
     sparse_ms: f64,
+    /// `dense_ms / sparse_ms`: the sparse engine against the `O(n^3)`
+    /// reference.
     speedup: f64,
+    /// `dense_ms / band_ms`.
+    band_speedup: f64,
+    /// `sparse_ms / band_ms` (above 1: band GTH is faster).
+    band_vs_sparse: f64,
+    /// Band π bitwise equal to the reference π.
+    band_bitwise: bool,
     pi_diff: f64,
     metric_diff: f64,
 }
 
-/// Solves one overlap model (small enough for GTH) both ways and compares.
+/// Solves one overlap model (small enough for GTH) three ways — band GTH,
+/// the `O(n^3)` reference GTH and the sparse engine — and compares.
 fn run_overlap(name: &str, network: &ClosedNetwork) -> OverlapResult {
     let space = build_state_space(network, 10_000_000).expect("state space");
     let states = space.len();
 
-    // Interleave the dense/sparse timing rounds (best of 3 each) so load
-    // drift on a shared runner hits both engines symmetrically instead of
-    // landing entirely in the speedup ratio.
+    // Interleave the timing rounds of the three engines (best of 3 each) so
+    // load drift on a shared runner hits them symmetrically instead of
+    // landing entirely in the speedup ratios.
     let mut dense_ms = f64::INFINITY;
+    let mut band_ms = f64::INFINITY;
     let mut sparse_ms = f64::INFINITY;
-    let mut dense_pi = stationary_dense_gth(space.ctmc()).expect("dense GTH");
+    let mut reference_pi = gth_reference(space.ctmc()).expect("reference GTH");
+    let mut band_pi = stationary_dense_gth(space.ctmc()).expect("band GTH");
     let mut sparse = stationary_sparse(space.ctmc(), &SparseSteadyOptions::default())
         .expect("sparse engine");
     for _ in 0..3 {
         let start = Instant::now();
-        dense_pi = stationary_dense_gth(space.ctmc()).expect("dense GTH");
+        reference_pi = gth_reference(space.ctmc()).expect("reference GTH");
         dense_ms = dense_ms.min(start.elapsed().as_secs_f64() * 1e3);
+
+        let start = Instant::now();
+        band_pi = stationary_dense_gth(space.ctmc()).expect("band GTH");
+        band_ms = band_ms.min(start.elapsed().as_secs_f64() * 1e3);
 
         let start = Instant::now();
         sparse = stationary_sparse(space.ctmc(), &SparseSteadyOptions::default())
@@ -121,7 +145,12 @@ fn run_overlap(name: &str, network: &ClosedNetwork) -> OverlapResult {
         sparse_ms = sparse_ms.min(start.elapsed().as_secs_f64() * 1e3);
     }
 
-    let pi_diff = dense_pi.max_abs_diff(&sparse.pi).expect("same length");
+    let band_bitwise = band_pi
+        .as_slice()
+        .iter()
+        .map(|v| v.to_bits())
+        .eq(reference_pi.as_slice().iter().map(|v| v.to_bits()));
+    let pi_diff = band_pi.max_abs_diff(&sparse.pi).expect("same length");
     let dense_metrics = solve_exact_with(network, &dense_exact_options()).expect("dense metrics");
     let sparse_metrics =
         solve_exact_with(network, &sparse_exact_options()).expect("sparse metrics");
@@ -131,8 +160,12 @@ fn run_overlap(name: &str, network: &ClosedNetwork) -> OverlapResult {
         name: name.to_string(),
         states,
         dense_ms,
+        band_ms,
         sparse_ms,
         speedup: dense_ms / sparse_ms,
+        band_speedup: dense_ms / band_ms,
+        band_vs_sparse: sparse_ms / band_ms,
+        band_bitwise,
         pi_diff,
         metric_diff,
     }
@@ -626,8 +659,12 @@ fn main() {
         "overlap model",
         "states",
         "dense ms",
+        "band ms",
         "sparse ms",
         "speedup",
+        "band speedup",
+        "band/sparse",
+        "band bitwise",
         "pi diff",
         "metric diff",
     ]);
@@ -636,8 +673,12 @@ fn main() {
             o.name.clone(),
             o.states.to_string(),
             format!("{:.1}", o.dense_ms),
+            format!("{:.1}", o.band_ms),
             format!("{:.1}", o.sparse_ms),
             format!("{:.1}x", o.speedup),
+            format!("{:.1}x", o.band_speedup),
+            format!("{:.2}x", o.band_vs_sparse),
+            o.band_bitwise.to_string(),
             format!("{:.2e}", o.pi_diff),
             format!("{:.2e}", o.metric_diff),
         ]);
@@ -772,6 +813,11 @@ fn main() {
         .iter()
         .max_by_key(|o| o.states)
         .map_or(0.0, |o| o.speedup);
+    let (ceiling_band_speedup, ceiling_band_vs_sparse) = overlaps
+        .iter()
+        .max_by_key(|o| o.states)
+        .map_or((0.0, 0.0), |o| (o.band_speedup, o.band_vs_sparse));
+    let all_band_bitwise = overlaps.iter().all(|o| o.band_bitwise);
     let all_deterministic = scales.iter().all(|s| s.deterministic);
     let midscale_geomean = (mids
         .iter()
@@ -803,6 +849,9 @@ fn main() {
         "worst dense-vs-sparse agreement: pi {worst_pi_diff:.2e}, metrics {worst_metric_diff:.2e} (gate 1e-8)"
     );
     println!("sparse-vs-dense speedup at the ceiling: {ceiling_speedup:.1}x (gate >= 2x)");
+    println!(
+        "band GTH vs the O(n^3) reference: bitwise equal on every overlap model: {all_band_bitwise}; speedup at the ceiling {ceiling_band_speedup:.1}x (gate >= 5x); band vs sparse {ceiling_band_vs_sparse:.2}x (no gate)"
+    );
     println!("worker-count determinism (1 vs 4 workers, bitwise): {all_deterministic}");
     println!(
         "mid-scale persistent vs per-call-spawn: geomean {midscale_geomean:.2}x on {workers} workers (gate >= 1.3x on >= 2 cores)"
@@ -824,12 +873,16 @@ fn main() {
     json.push_str("  \"overlap_models\": [\n");
     for (i, o) in overlaps.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"states\": {}, \"dense_ms\": {:.3}, \"sparse_ms\": {:.3}, \"speedup\": {:.3}, \"pi_diff\": {:.3e}, \"metric_diff\": {:.3e}}}{}\n",
+            "    {{\"name\": \"{}\", \"states\": {}, \"dense_ms\": {:.3}, \"band_ms\": {:.3}, \"sparse_ms\": {:.3}, \"speedup\": {:.3}, \"band_speedup\": {:.3}, \"band_vs_sparse\": {:.3}, \"band_bitwise\": {}, \"pi_diff\": {:.3e}, \"metric_diff\": {:.3e}}}{}\n",
             o.name,
             o.states,
             o.dense_ms,
+            o.band_ms,
             o.sparse_ms,
             o.speedup,
+            o.band_speedup,
+            o.band_vs_sparse,
+            o.band_bitwise,
             o.pi_diff,
             o.metric_diff,
             if i + 1 < overlaps.len() { "," } else { "" }
@@ -914,7 +967,7 @@ fn main() {
         overhead.persistent_ns_per_round
     ));
     json.push_str(&format!(
-        "  \"dense_ceiling_states\": {ceiling_states},\n  \"min_scale_states\": {min_scale_states},\n  \"scale_ratio\": {scale_ratio:.2},\n  \"worst_pi_diff\": {worst_pi_diff:.3e},\n  \"worst_metric_diff\": {worst_metric_diff:.3e},\n  \"ceiling_speedup\": {ceiling_speedup:.3},\n  \"deterministic\": {all_deterministic},\n  \"workers\": {workers},\n  \"midscale_speedup_vs_percall\": {midscale_geomean:.3},\n  \"midscale_gate_applied\": {midscale_gate_applies},\n  \"worst_serial_regression\": {worst_serial_regression:.4},\n  \"worst_kron_pi_diff\": {worst_kron_pi_diff:.3e},\n  \"min_kron_memory_ratio\": {min_kron_memory_ratio:.2}\n"
+        "  \"dense_ceiling_states\": {ceiling_states},\n  \"min_scale_states\": {min_scale_states},\n  \"scale_ratio\": {scale_ratio:.2},\n  \"worst_pi_diff\": {worst_pi_diff:.3e},\n  \"worst_metric_diff\": {worst_metric_diff:.3e},\n  \"ceiling_speedup\": {ceiling_speedup:.3},\n  \"band_bitwise\": {all_band_bitwise},\n  \"ceiling_band_speedup\": {ceiling_band_speedup:.3},\n  \"ceiling_band_vs_sparse\": {ceiling_band_vs_sparse:.3},\n  \"deterministic\": {all_deterministic},\n  \"workers\": {workers},\n  \"midscale_speedup_vs_percall\": {midscale_geomean:.3},\n  \"midscale_gate_applied\": {midscale_gate_applies},\n  \"worst_serial_regression\": {worst_serial_regression:.4},\n  \"worst_kron_pi_diff\": {worst_kron_pi_diff:.3e},\n  \"min_kron_memory_ratio\": {min_kron_memory_ratio:.2}\n"
     ));
     json.push_str("}\n");
     std::fs::write("BENCH_exact.json", &json).expect("write BENCH_exact.json");
@@ -947,6 +1000,21 @@ fn main() {
     }
     if ceiling_speedup < 5.0 {
         eprintln!("WARN: ceiling speedup {ceiling_speedup:.1}x below the expected ~10x+ (noisy runner?)");
+    }
+    // Band-GTH gates: band elimination only skips exact zeros, so its π
+    // must be the reference's bit for bit; and the band must pay off on the
+    // banded network generators at the ceiling.
+    if !all_band_bitwise {
+        eprintln!(
+            "FAIL: band GTH pi not bitwise equal to the O(n^3) reference on every overlap model"
+        );
+        std::process::exit(1);
+    }
+    if ceiling_band_speedup < 5.0 {
+        eprintln!(
+            "FAIL: band GTH only {ceiling_band_speedup:.1}x the O(n^3) reference at the ceiling (gate >= 5x)"
+        );
+        std::process::exit(1);
     }
     // Mid-scale parallelism gate: on multi-core runners the persistent pool
     // must beat the per-call-spawn baseline end-to-end in the regime the

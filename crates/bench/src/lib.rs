@@ -20,7 +20,7 @@
 //! `bench_lp` (revised vs dense simplex), `bench_sweep` (dual-warm
 //! population sweeps vs cold), `bench_ensemble` (parallel scenario
 //! ensembles vs serial) and `bench_exact` (sparse CTMC engine vs the dense
-//! GTH ceiling).
+//! GTH ceiling, band GTH vs the `O(n^3)` reference).
 //!
 //! All binaries accept the `MAPQN_SCALE` environment variable:
 //! `quick` (default, finishes in seconds/minutes on a laptop) or `full`

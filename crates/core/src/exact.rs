@@ -6,8 +6,10 @@
 //! combinatorially with the population and the number of stations — the very
 //! limitation the LP bound methodology removes — but the reachable regime is
 //! set by the steady-state engine: the generator is streamed directly into
-//! CSR by [`build_state_space`] and solved by `mapqn-markov`'s dense GTH
-//! elimination below a few thousand states or by its sparse preconditioned
+//! CSR by [`build_state_space`] and solved by `mapqn-markov`'s band GTH
+//! elimination below a few thousand states (`O(n·b_l·b_u)` time and
+//! `O(n·min(b_l + b_u + 1, n))` memory for the generator's lower/upper
+//! bandwidths `b_l`/`b_u`, no dense copy) or by its sparse preconditioned
 //! engine (row-block-parallel Gauss–Seidel / Jacobi iterations with a
 //! `‖πQ‖_∞` stopping rule) up to the `10^6`–`10^7`-state range, so exact
 //! references now cover the same populations the LP bounds and sweeps are
@@ -20,7 +22,7 @@
 //! [`ExactOptions::representation`]:
 //!
 //! * **Materialized** — BFS enumeration streamed into a flat CSR
-//!   ([`build_state_space`]), solved by [`stationary_auto`] (dense GTH below
+//!   ([`build_state_space`]), solved by [`stationary_auto`] (band GTH below
 //!   its threshold, sparse engine above). Memory is `O(nnz)`.
 //! * **Factored** — the per-station Kronecker blocks of
 //!   [`crate::FactoredGenerator`]; rows of `Qᵀ` are synthesized on demand

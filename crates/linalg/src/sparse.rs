@@ -312,7 +312,7 @@ impl CsrMatrix {
     }
 
     /// Converts to a dense matrix (only sensible for small matrices; used by
-    /// tests and by the dense steady-state path).
+    /// tests and by the `O(n^3)` GTH reference in `mapqn-markov`).
     #[must_use]
     pub fn to_dense(&self) -> crate::dense::DMatrix {
         let mut m = crate::dense::DMatrix::zeros(self.rows, self.cols);

@@ -14,9 +14,11 @@
 //!   generator directly into CSR (no triplet list, no dense copy) together
 //!   with a state index;
 //! * [`ctmc::Ctmc`] — a validated CTMC with its generator in CSR form;
-//! * [`steady`] — stationary distribution solvers: dense GTH elimination
-//!   (numerically robust, `O(n^3)`, used up to a few thousand states) plus
-//!   the automatic dense/sparse selection of [`steady::stationary_auto`];
+//! * [`steady`] — stationary distribution solvers: GTH elimination on the
+//!   generator's band (numerically robust, `O(n·b_l·b_u)` time and
+//!   `O(n·min(b_l + b_u + 1, n))` memory for lower/upper bandwidths
+//!   `b_l`/`b_u`, used up to a few thousand states) plus the automatic
+//!   dense/sparse selection of [`steady::stationary_auto`];
 //! * [`sparse_steady`] — the large-chain engine: Gauss–Seidel /
 //!   Jacobi-preconditioned iterations with adaptive uniformization on the
 //!   CSR generator, parallel over row blocks via `mapqn-par`, with a
@@ -42,6 +44,8 @@ pub use statespace::{StateSpace, StateSpaceBuilder};
 pub use steady::{
     stationary_auto, stationary_dense_gth, stationary_residual, SteadyStateOptions,
 };
+#[doc(hidden)]
+pub use steady::gth_reference;
 
 /// Error type for Markov-chain construction and solution.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,8 +1,9 @@
 //! Sparse stationary-distribution engine for large CTMCs.
 //!
-//! The dense GTH solver in [`crate::steady`] is the right tool up to a few
-//! thousand states; beyond that its `O(n^2)` dense copy and `O(n^3)` work
-//! are unaffordable, and the paper's exact ("global balance") validation
+//! The band GTH solver in [`crate::steady`] is the right tool up to a few
+//! thousand states; beyond that its `O(n·b_l·b_u)` work and band storage
+//! (which grow with the bandwidths of larger chains) are unaffordable, and
+//! the paper's exact ("global balance") validation
 //! references stop exactly where they become interesting — the LP bounds
 //! run to populations whose CTMCs have `10^5`–`10^6` states. This module
 //! scales the exact path into that regime without ever densifying the

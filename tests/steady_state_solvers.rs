@@ -5,8 +5,8 @@
 //! Gauss–Seidel/Jacobi preconditioning must not break.
 
 use mapqn::markov::{
-    stationary_dense_gth, stationary_residual, stationary_sparse, Ctmc, SparsePreconditioner,
-    SparseSteadyOptions,
+    gth_reference, stationary_dense_gth, stationary_residual, stationary_sparse, Ctmc, MarkovError,
+    SparsePreconditioner, SparseSteadyOptions,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -55,6 +55,145 @@ fn near_reducible(rng: &mut StdRng, half: usize, bridge: f64) -> Ctmc {
     transitions.push((half - 1, half, bridge * rng.gen_range(0.5..2.0)));
     transitions.push((n - 1, 0, bridge * rng.gen_range(0.5..2.0)));
     Ctmc::from_transitions(n, &transitions).unwrap()
+}
+
+/// Random chain whose off-diagonal nonzeros lie within `lower` below and
+/// `upper` above the diagonal; a nearest-neighbour path both ways keeps it
+/// irreducible.
+fn random_banded(rng: &mut StdRng, n: usize, lower: usize, upper: usize, extra: usize) -> Ctmc {
+    let mut transitions: Vec<(usize, usize, f64)> = Vec::new();
+    for i in 0..n - 1 {
+        transitions.push((i, i + 1, rng.gen_range(0.1..20.0)));
+        transitions.push((i + 1, i, rng.gen_range(0.1..20.0)));
+    }
+    for _ in 0..extra {
+        let from = rng.gen_range(0..n);
+        let to = rng.gen_range(from.saturating_sub(lower)..(from + upper + 1).min(n));
+        if from != to {
+            transitions.push((from, to, rng.gen_range(0.1..20.0)));
+        }
+    }
+    Ctmc::from_transitions(n, &transitions).unwrap()
+}
+
+/// Band GTH answers exactly what dense `O(n^3)` GTH answers, entry by entry.
+fn assert_gth_bitwise(ctmc: &Ctmc, what: &str) {
+    let band = stationary_dense_gth(ctmc).unwrap();
+    let reference = gth_reference(ctmc).unwrap();
+    assert_eq!(band.len(), reference.len(), "{what}");
+    for (i, (b, r)) in band.as_slice().iter().zip(reference.as_slice()).enumerate() {
+        assert_eq!(
+            b.to_bits(),
+            r.to_bits(),
+            "{what}: state {i}: {b:e} vs {r:e}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        max_shrink_iters: 0,
+        ..ProptestConfig::default()
+    })]
+
+    /// The wrap-around edge of `random_ergodic` makes the band full width.
+    #[test]
+    fn band_gth_is_bitwise_the_reference_on_random_ergodic_chains(
+        seed in 0u64..10_000,
+        n in 2usize..80,
+        extra in 0usize..80,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        assert_gth_bitwise(&random_ergodic(&mut rng, n, extra, (0.1, 20.0)), "random ergodic");
+    }
+
+    #[test]
+    fn band_gth_is_bitwise_the_reference_on_near_reducible_chains(
+        seed in 0u64..10_000,
+        half in 2usize..30,
+        bridge_exp in 1u32..8,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9);
+        let bridge = 10.0_f64.powi(-(bridge_exp as i32));
+        assert_gth_bitwise(&near_reducible(&mut rng, half, bridge), "near reducible");
+    }
+
+    #[test]
+    fn band_gth_is_bitwise_the_reference_on_banded_chains(
+        seed in 0u64..10_000,
+        n in 2usize..120,
+        lower in 1usize..12,
+        upper in 1usize..12,
+        extra in 0usize..300,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5851_f42d);
+        assert_gth_bitwise(&random_banded(&mut rng, n, lower, upper, extra), "banded");
+    }
+}
+
+/// The breadth-first-ordered network chains the exact path solves: Figure 8
+/// (SCV 16), TPC-W and two Table-1 random models.
+#[test]
+fn band_gth_is_bitwise_the_reference_on_network_chains() {
+    use mapqn::core::random_models::{random_model, RandomModelSpec};
+    use mapqn::core::statespace::build_state_space;
+    use mapqn::core::templates::{figure5_network, tpcw_network, TpcwParameters};
+
+    let mut networks = Vec::new();
+    for n in [8, 30] {
+        networks.push((
+            format!("fig8 N={n}"),
+            figure5_network(n, 16.0, 0.5).unwrap(),
+        ));
+    }
+    let tpcw = TpcwParameters {
+        browsers: 32,
+        ..TpcwParameters::default()
+    };
+    networks.push(("tpcw N=32".into(), tpcw_network(&tpcw).unwrap()));
+    let mut rng = StdRng::seed_from_u64(7);
+    for draw in 0..2 {
+        let model = random_model(&RandomModelSpec::default(), &mut rng).unwrap();
+        let network = model.network.with_population(16).unwrap();
+        networks.push((format!("random draw {draw} N=16"), network));
+    }
+    for (name, network) in &networks {
+        let space = build_state_space(network, 10_000_000).unwrap();
+        assert_gth_bitwise(space.ctmc(), name);
+    }
+}
+
+#[test]
+fn band_gth_is_bitwise_the_reference_on_one_and_two_states() {
+    assert_gth_bitwise(&Ctmc::from_transitions(1, &[]).unwrap(), "n = 1");
+    let two = Ctmc::from_transitions(2, &[(0, 1, 3.0), (1, 0, 0.25)]).unwrap();
+    assert_gth_bitwise(&two, "n = 2");
+}
+
+/// A reducible chain fails with the same error, at the same state, in both.
+#[test]
+fn band_gth_reports_a_reducible_chain_like_the_reference() {
+    // {0, 1, 2} and {3, 4} do not communicate; eliminating 4 folds it into
+    // 3, which then has no outflow towards 0..3.
+    let ctmc = Ctmc::from_transitions(
+        5,
+        &[
+            (0, 1, 1.0),
+            (1, 0, 2.0),
+            (1, 2, 1.5),
+            (2, 1, 0.5),
+            (3, 4, 1.0),
+            (4, 3, 4.0),
+        ],
+    )
+    .unwrap();
+    let band = stationary_dense_gth(&ctmc).unwrap_err();
+    assert!(
+        matches!(&band, MarkovError::InvalidChain(msg) if msg.contains("state 3")),
+        "{band}"
+    );
+    assert_eq!(band, gth_reference(&ctmc).unwrap_err());
 }
 
 proptest! {

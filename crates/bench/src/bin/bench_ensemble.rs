@@ -63,7 +63,9 @@ struct KernelResult {
     speedup: f64,
     bitwise_mismatches: usize,
     dual_warm_objectives: usize,
-    dense_fallbacks: usize,
+    /// Answers (serial + parallel runs) a scenario's own solve did not
+    /// produce: a degradation-ladder rung did.
+    ladder_answers: usize,
 }
 
 /// Runs one scenario batch serial (1 worker) and parallel (all cores) and
@@ -89,7 +91,11 @@ fn run_kernel(name: &str, scenarios: &[Scenario], threads: usize) -> KernelResul
         bitwise_mismatches: bitwise_mismatches(&serial, &parallel),
         dual_warm_objectives: parallel.stats.dual_warm_objectives
             + serial.stats.dual_warm_objectives,
-        dense_fallbacks: parallel.stats.dense_fallbacks + serial.stats.dense_fallbacks,
+        ladder_answers: [&serial, &parallel]
+            .into_iter()
+            .flat_map(|report| report.results.iter().flat_map(|r| &r.bounds))
+            .filter(|b| !b.diagnostics.attempts.is_empty())
+            .count(),
     }
 }
 
@@ -162,7 +168,7 @@ fn main() {
         "parallel ms",
         "speedup",
         "bit diffs",
-        "fallbacks",
+        "ladder",
     ]);
     for k in &kernels {
         table.add_row(vec![
@@ -173,7 +179,7 @@ fn main() {
             format!("{:.1}", k.parallel_ms),
             format!("{:.2}x", k.speedup),
             k.bitwise_mismatches.to_string(),
-            k.dense_fallbacks.to_string(),
+            k.ladder_answers.to_string(),
         ]);
     }
     table.print();
@@ -182,12 +188,12 @@ fn main() {
     let total_parallel: f64 = kernels.iter().map(|k| k.parallel_ms).sum();
     let end_to_end_speedup = total_serial / total_parallel;
     let total_mismatches: usize = kernels.iter().map(|k| k.bitwise_mismatches).sum();
-    let total_fallbacks: usize = kernels.iter().map(|k| k.dense_fallbacks).sum();
+    let total_ladder: usize = kernels.iter().map(|k| k.ladder_answers).sum();
     let gate_applies = threads >= 2;
 
     println!("\nend-to-end speedup: {end_to_end_speedup:.2}x on {threads} workers");
     println!("bitwise interval mismatches serial vs parallel: {total_mismatches} (gate 0)");
-    println!("dense-oracle fallbacks (serial + parallel runs): {total_fallbacks} (gate 0)");
+    println!("answers from the ladder, not the scenario's own solve (serial + parallel runs): {total_ladder} (gate 0)");
     if !gate_applies {
         println!("speedup gate SKIPPED: runner reports {threads} core(s), need >= 2");
     }
@@ -201,7 +207,7 @@ fn main() {
     json.push_str("  \"kernels\": [\n");
     for (i, k) in kernels.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scenarios\": {}, \"populations\": {}, \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.3}, \"bitwise_mismatches\": {}, \"dual_warm_objectives\": {}, \"dense_fallbacks\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"scenarios\": {}, \"populations\": {}, \"serial_ms\": {:.3}, \"parallel_ms\": {:.3}, \"speedup\": {:.3}, \"bitwise_mismatches\": {}, \"dual_warm_objectives\": {}, \"ladder_answers\": {}}}{}\n",
             k.name,
             k.scenarios,
             k.populations,
@@ -210,30 +216,30 @@ fn main() {
             k.speedup,
             k.bitwise_mismatches,
             k.dual_warm_objectives,
-            k.dense_fallbacks,
+            k.ladder_answers,
             if i + 1 < kernels.len() { "," } else { "" }
         ));
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"end_to_end_speedup\": {end_to_end_speedup:.3},\n  \"bitwise_mismatches\": {total_mismatches},\n  \"dense_fallbacks\": {total_fallbacks},\n  \"speedup_gate_applied\": {gate_applies}\n"
+        "  \"end_to_end_speedup\": {end_to_end_speedup:.3},\n  \"bitwise_mismatches\": {total_mismatches},\n  \"ladder_answers\": {total_ladder},\n  \"speedup_gate_applied\": {gate_applies}\n"
     ));
     json.push_str("}\n");
     std::fs::write("BENCH_ensemble.json", &json).expect("write BENCH_ensemble.json");
     println!("\nwrote BENCH_ensemble.json");
 
-    // Acceptance gates: determinism and zero-fallback hard-fail everywhere;
-    // the ≥1.5x speedup gate applies only on multi-core runners (a 1-core
-    // runner cannot demonstrate parallel speedup, and the pool degenerates
-    // to the serial loop there by design).
+    // Acceptance gates: determinism and zero ladder answers hard-fail
+    // everywhere; the ≥1.5x speedup gate applies only on multi-core runners
+    // (a 1-core runner cannot demonstrate parallel speedup, and the pool
+    // degenerates to the serial loop there by design).
     if total_mismatches > 0 {
         eprintln!(
             "FAIL: parallel ensemble differs bitwise from the serial reference ({total_mismatches} endpoints)"
         );
         std::process::exit(1);
     }
-    if total_fallbacks > 0 {
-        eprintln!("FAIL: {total_fallbacks} dense-oracle fallbacks in the ensembles (gate 0)");
+    if total_ladder > 0 {
+        eprintln!("FAIL: {total_ladder} ensemble answers from the ladder (gate 0)");
         std::process::exit(1);
     }
     if gate_applies && end_to_end_speedup < 1.5 {

@@ -10,8 +10,9 @@
 //!   `.unwrap()`/`.expect()` in non-test library code (route through the
 //!   error taxonomy, or annotate with an `// INFALLIBLE:` proof), no bare
 //!   `Instant::now()` outside `mapqn_linalg::budget` (the single
-//!   sanctioned clock), and no `==`/`!=` against non-zero float literals
-//!   outside the tolerance helpers.
+//!   sanctioned clock), no `==`/`!=` against non-zero float literals
+//!   outside the tolerance helpers, and no `println!`/`eprintln!`/
+//!   `print!`/`eprint!` in library code outside binary entry points.
 //! * [`model`] — an exhaustive **interleaving checker** for the
 //!   coordinator/worker park handshake in `mapqn-par`, loom-style but
 //!   hand-rolled (this environment has no registry access): the protocol

@@ -16,6 +16,7 @@
 //! | `unwrap` | no `.unwrap()` / `.expect(` in non-test library code | `// INFALLIBLE: <proof>` within 3 lines |
 //! | `bare-clock` | no `Instant::now()` / `SystemTime::now()` outside `mapqn_linalg::budget` | route through `budget::now()` |
 //! | `float-eq` | no `==` / `!=` against a non-zero float literal outside the tolerance helpers | `// FLOAT-EQ: <why exact>` within 3 lines |
+//! | `print` | no `println!` / `eprintln!` / `print!` / `eprint!` in non-test library code: a library reports through return values, counters and diagnostics, never a terminal | binary entry points (`src/main.rs`, `src/bin/`) may print |
 //!
 //! Comparisons against exactly `0.0` are permitted everywhere: testing a
 //! float against structural zero is exact in IEEE-754 and is how the
@@ -25,7 +26,8 @@
 //!
 //! Scope rules: `crates/compat/*` (vendored stand-ins) and `crates/bench`
 //! (the CI harness, where panicking on a malformed fixture is the right
-//! behaviour) are exempt from the `unwrap`/`bare-clock`/`float-eq` rules;
+//! behaviour) are exempt from the `unwrap`/`bare-clock`/`float-eq`/`print`
+//! rules;
 //! test code (`tests/`, `examples/`, `benches/`, and everything after the
 //! first `#[cfg(test)]` in a library file) is exempt from everything
 //! except `unsafe-safety`. The audit-table check also runs in reverse:
@@ -52,6 +54,8 @@ pub enum Lint {
     /// `==` / `!=` against a non-zero float literal outside the tolerance
     /// helpers.
     FloatEq,
+    /// A terminal print macro in non-test library code.
+    Print,
 }
 
 impl Lint {
@@ -65,6 +69,7 @@ impl Lint {
             Lint::UnwrapInLibrary => "unwrap",
             Lint::BareClock => "bare-clock",
             Lint::FloatEq => "float-eq",
+            Lint::Print => "print",
         }
     }
 }
@@ -392,6 +397,25 @@ fn contains_word(code: &str, word: &str) -> bool {
     false
 }
 
+/// The print macros the `print` rule rejects in library code.
+const PRINT_MACROS: [&str; 4] = ["println!", "eprintln!", "print!", "eprint!"];
+
+/// The first print macro invoked on `code` (a whole-word match, so
+/// `eprint!` does not also count as `print!`).
+fn print_macro(code: &str) -> Option<&'static str> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    PRINT_MACROS.into_iter().find(|mac| {
+        code.match_indices(mac)
+            .any(|(pos, _)| !code[..pos].chars().next_back().is_some_and(is_ident))
+    })
+}
+
+/// Whether `path` is a binary's entry point, whose job is to print.
+fn is_binary_entry(path: &str) -> bool {
+    let rooted = format!("/{path}");
+    rooted.ends_with("/src/main.rs") || rooted.contains("/src/bin/")
+}
+
 /// Whether any comment within `window` lines at or above `line_idx`
 /// contains `marker`.
 fn marked_nearby(lines: &[StrippedLine], line_idx: usize, window: usize, markers: &[&str]) -> bool {
@@ -599,6 +623,18 @@ pub fn lint_source(path: &str, content: &str, audit: &AtomicsAudit) -> Vec<Viola
                 file: path.to_string(),
                 line: lineno,
                 message: "`==`/`!=` against a non-zero float literal: use the tolerance helpers (mapqn_linalg::norms) or annotate `// FLOAT-EQ: <why exact>`".to_string(),
+            });
+        }
+
+        // print: library non-test code outside binary entry points.
+        if let Some(mac) = print_macro(code).filter(|_| !is_binary_entry(path)) {
+            out.push(Violation {
+                lint: Lint::Print,
+                file: path.to_string(),
+                line: lineno,
+                message: format!(
+                    "`{mac}` in library code: report through return values, counters or diagnostics instead of the terminal"
+                ),
             });
         }
     }

@@ -161,6 +161,48 @@ fn comparison_operators_other_than_eq_do_not_fire() {
 }
 
 #[test]
+fn print_macros_in_library_code_fire() {
+    for mac in ["println!", "eprintln!", "print!", "eprint!"] {
+        let bad = format!("pub fn f(x: u8) {{\n    {mac}(\"{{x}}\");\n}}\n");
+        assert_eq!(lints(&bad), vec![Lint::Print], "{mac}");
+    }
+    let qualified = "pub fn f() {\n    std::eprintln!(\"trace\");\n}\n";
+    assert_eq!(lints(qualified), vec![Lint::Print]);
+}
+
+#[test]
+fn print_lookalikes_do_not_fire() {
+    // Formatting into a buffer, a macro whose name merely ends in `print`,
+    // and the words inside strings and comments are all fine.
+    let good = "use std::fmt::Write;\npub fn f(out: &mut String) {\n    let _ = writeln!(out, \"println!(x)\");\n    // eprintln!(\"old trace\")\n    my_print!(out);\n}\n";
+    assert_eq!(lints(good), Vec::new());
+}
+
+#[test]
+fn print_is_allowed_in_tests_harnesses_and_binary_entry_points() {
+    let src = "pub fn f() {\n    println!(\"report\");\n}\n";
+    for path in [
+        "crates/core/tests/fault_injection.rs",
+        "examples/quickstart.rs",
+        "crates/bench/src/bin/bench_lp.rs",
+        "crates/bench/src/lib.rs",
+        "crates/compat/rand/src/lib.rs",
+        "crates/check/src/main.rs",
+        "crates/tool/src/bin/report.rs",
+        "src/main.rs",
+        "src/bin/report.rs",
+    ] {
+        assert_eq!(
+            lints_of(path, src, &AtomicsAudit::default()),
+            Vec::new(),
+            "{path}"
+        );
+    }
+    let in_test_region = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() {\n        eprintln!(\"debug\");\n    }\n}\n";
+    assert_eq!(lints(in_test_region), Vec::new());
+}
+
+#[test]
 fn scope_classification() {
     assert_eq!(classify("crates/markov/src/lib.rs"), Scope::Library);
     assert_eq!(classify("src/lib.rs"), Scope::Library);

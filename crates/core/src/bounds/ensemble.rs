@@ -46,7 +46,13 @@
 //!     .collect();
 //! let report = EnsembleRunner::new().run(&scenarios).unwrap();
 //! assert_eq!(report.results.len(), 3);
-//! assert_eq!(report.stats.dense_fallbacks, 0);
+//! // Every population was answered by its sweep's own solve, with no
+//! // ladder rung beyond it.
+//! assert!(report
+//!     .results
+//!     .iter()
+//!     .flat_map(|r| &r.bounds)
+//!     .all(|b| b.diagnostics.attempts.is_empty()));
 //! ```
 
 use super::marginal::{BoundOptions, NetworkBounds};
@@ -113,9 +119,6 @@ pub struct EnsembleStats {
     pub repair_warm_objectives: usize,
     /// Seeded objectives whose seed was rejected.
     pub dual_seed_rejections: usize,
-    /// Objectives that fell back to the dense-tableau oracle — should stay
-    /// zero (the bench and the ensemble tests gate on it).
-    pub dense_fallbacks: usize,
 }
 
 impl EnsembleStats {
@@ -125,7 +128,6 @@ impl EnsembleStats {
         self.dual_warm_objectives += stats.dual_warm_objectives;
         self.repair_warm_objectives += stats.repair_warm_objectives;
         self.dual_seed_rejections += stats.dual_seed_rejections;
-        self.dense_fallbacks += stats.dense_fallbacks;
     }
 }
 
@@ -417,7 +419,11 @@ mod tests {
         }
         assert_eq!(serial.stats.scenarios, 4);
         assert_eq!(serial.stats.populations, 16);
-        assert_eq!(serial.stats.dense_fallbacks, 0);
+        assert!(serial
+            .results
+            .iter()
+            .flat_map(|r| &r.bounds)
+            .all(|b| b.diagnostics.attempts.is_empty()));
     }
 
     /// Each job reproduces bit-for-bit outside the pool from

@@ -45,14 +45,13 @@
 //! would require occupancy-weighted marginal terms (a straightforward but
 //! larger extension noted in docs/ARCHITECTURE.md).
 
-use super::robust::{self, Quality, SolveDiagnostics};
+use super::robust::{self, Ladder, Quality, SolveDiagnostics};
 use super::{BoundInterval, PerformanceIndex};
 use crate::network::ClosedNetwork;
 use crate::{CoreError, Result};
 use mapqn_linalg::SolveBudget;
 use mapqn_lp::{
-    Basis, LpError, LpProblem, LpSolution, LpStatus, RevisedSimplex, Sense, SimplexEngine,
-    SimplexOptions,
+    Basis, LpProblem, LpSolution, LpStatus, RevisedSimplex, Sense, SimplexEngine, SimplexOptions,
 };
 
 /// Which optional constraint families to include (the mandatory ones —
@@ -209,13 +208,6 @@ impl VariableLayout {
     }
 }
 
-/// Whether `MAPQN_DUAL_DEBUG` tracing is on — read once per process (the
-/// flag is consulted on every LP solve, and `env::var_os` is not free).
-fn dual_debug() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("MAPQN_DUAL_DEBUG").is_some())
-}
-
 /// Semantic identity of a structural LP variable (see [`VariableLayout`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MarginalVar {
@@ -319,24 +311,22 @@ pub enum SlotOutcome {
     /// cross-population transfer, just through the fallback lane.
     RepairWarm,
     /// The primal path (rolling warm start or phase 1) answered — either no
-    /// seed was provided or the seed was unusable in every form.
+    /// seed was provided or the seed was unusable in every form (also the
+    /// outcome of every slot an explicit dense-tableau solver answers).
     Primal,
-    /// The dense-tableau oracle answered after a revised-engine failure.
-    DenseFallback,
 }
 
-/// Counters describing how the solver's LP engines were exercised. Exposed
-/// through [`MarginalBoundSolver::stats`] so that silent degradations — most
-/// importantly the fallback from the revised engine to the dense oracle —
-/// are observable instead of disappearing into a slower solve.
+/// Counters describing how the solver's LP engines were exercised, exposed
+/// through [`MarginalBoundSolver::stats`]. A solver whose `revised_solves`
+/// equals the number of objectives it was asked answered every one of them
+/// with the revised engine itself.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Objectives solved by the revised engine (primal or dual path).
     pub revised_solves: usize,
-    /// Objectives the revised engine could not finish, answered by the
-    /// dense-tableau oracle instead. Anything nonzero deserves attention:
-    /// the oracle is orders of magnitude slower and cycles on the larger
-    /// instances.
+    /// Always 0: a revised-engine failure is an error for the degradation
+    /// ladder, never a silent dense-tableau re-solve. Kept because external
+    /// benchmark readers still report it.
     pub dense_fallbacks: usize,
     /// Objectives re-solved by the dual engine from a cross-population seed.
     pub dual_warm_solves: usize,
@@ -369,25 +359,10 @@ pub struct SolverTimings {
     pub repair_ns: u64,
     /// Primal warm-started objective solves (the `bound_all` workhorse).
     pub primal_ns: u64,
-    /// Dense-tableau oracle fallbacks (should stay zero like the counter).
-    pub dense_ns: u64,
     /// Simplex iterations of the primal solves (pivots + re-pricings).
     pub primal_pivots: u64,
     /// Simplex iterations of the dual re-solves.
     pub dual_pivots: u64,
-}
-
-impl SolverTimings {
-    /// Total time across all phases, in nanoseconds.
-    #[must_use]
-    pub fn total_ns(&self) -> u64 {
-        self.setup_ns
-            + self.phase1_ns
-            + self.dual_ns
-            + self.repair_ns
-            + self.primal_ns
-            + self.dense_ns
-    }
 }
 
 /// The bound solver: builds the constraint set once and solves a pair of
@@ -399,7 +374,8 @@ impl SolverTimings {
 /// [`MarginalBoundSolver::bound_all`]) from the previous optimum. Selecting
 /// [`SimplexEngine::DenseTableau`] through
 /// [`BoundOptions::simplex`] reproduces the original cold dense-tableau
-/// behaviour, which is kept as a correctness oracle.
+/// behaviour, which is kept as a correctness oracle; no other path reaches
+/// the tableau.
 ///
 /// The polynomial-size LP is the whole point: bounds stay tractable on
 /// models whose exact state space explodes. Solve methods take `&mut self`
@@ -422,7 +398,10 @@ impl SolverTimings {
 /// // objectives warm start off each other's optimal bases.
 /// let all = solver.bound_all().unwrap();
 /// assert_eq!(all.mean_queue_length.len(), 3);
-/// assert_eq!(solver.stats().dense_fallbacks, 0);
+/// // The revised engine answered all ten objectives itself: no ladder rung
+/// // beyond the direct solve ran.
+/// assert!(all.diagnostics.attempts.is_empty());
+/// assert_eq!(solver.stats().revised_solves, 2 + 2 * 10);
 /// ```
 pub struct MarginalBoundSolver {
     network: ClosedNetwork,
@@ -443,7 +422,7 @@ pub struct MarginalBoundSolver {
     /// Row of each slack column (index = slack column − `num_vars`).
     slack_rows: Vec<usize>,
     /// First artificial column in standard form (structural + slack count),
-    /// mirroring `RevisedSimplex::num_real_columns`.
+    /// mirroring the engine's standard-form numbering.
     total_real: usize,
     /// All mutable solve state (warm engine, recorded bases/outcomes,
     /// counters), owned and `Send` — see [`SolverContext`].
@@ -510,17 +489,14 @@ impl MarginalBoundSolver {
         })
     }
 
-    /// Engine-usage counters since this solver was created. The
-    /// `dense_fallbacks` field is the one worth watching: the equivalence
-    /// tests assert it stays zero, so regressions in the revised engine
-    /// surface as test failures instead of silent slowdowns.
+    /// Engine-usage counters since this solver was created.
     #[must_use]
     pub fn stats(&self) -> SolverStats {
         self.context.stats
     }
 
     /// Per-phase wall-clock profile (constraint build, phase 1, dual /
-    /// repair / primal / dense solve time, pivot counts) accumulated since
+    /// repair / primal solve time, pivot counts) accumulated since
     /// this solver was created. See [`SolverTimings`].
     #[must_use]
     pub fn timings(&self) -> SolverTimings {
@@ -622,32 +598,52 @@ impl MarginalBoundSolver {
 
     /// Computes lower and upper bounds on a performance index.
     ///
+    /// When this solver's own solve fails, the certified re-solve rungs of
+    /// the degradation ladder (salted, then tightened; see
+    /// [`super::robust`]) answer on fresh solvers of the same LP, so the
+    /// interval is LP-certified whichever rung produced it.
+    ///
     /// # Errors
-    /// Returns [`CoreError::BoundLpFailed`] when the LP solver reports an
-    /// infeasible or unbounded program (which would indicate a bug in the
-    /// constraint generation, since the true distribution is feasible and
-    /// every supported functional is bounded).
+    /// Returns the direct solve's error (for instance
+    /// [`CoreError::BoundLpFailed`] for an infeasible or unbounded program,
+    /// which would indicate a bug in the constraint generation) when every
+    /// certified rung fails too: a single index has no floor to fall to.
     pub fn bound(&mut self, index: PerformanceIndex) -> Result<BoundInterval> {
+        let start = mapqn_linalg::budget::now();
+        let full = self.options.budget;
+        self.options.budget = full.scale_wall_clock(robust::DIRECT_SLICE);
+        let direct = self.bound_direct(index);
+        self.options.budget = full;
+        let (network, options) = (&self.network, self.options);
+        direct.or_else(|error| {
+            Ladder::new(start, full, network.population())
+                .resolve(&robust::RESOLVES, options, |resolve| {
+                    MarginalBoundSolver::with_options(network, resolve)?.bound_direct(index)
+                })
+                .map(|(_, interval)| interval)
+                .ok_or(error)
+        })
+    }
+
+    /// The ladder-free solve behind [`MarginalBoundSolver::bound`]: both
+    /// senses of `index` on this solver, under its own budget.
+    fn bound_direct(&mut self, index: PerformanceIndex) -> Result<BoundInterval> {
+        self.anchor_budget();
         let terms = self.objective_terms(index);
-        let lower = self.solve_checked(&terms, Sense::Minimize)?;
-        let upper = self.solve_checked(&terms, Sense::Maximize)?;
+        let (lower, _, _) = self.solve_objective(&terms, Sense::Minimize, None)?;
+        let (upper, _, _) = self.solve_objective(&terms, Sense::Maximize, None)?;
         Ok(self.widen(&lower, &upper))
     }
 
-    /// Solves one objective and insists on an optimal termination.
-    fn solve_checked(&mut self, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
-        let solution = self.solve_objective(terms, sense)?;
-        if solution.status != LpStatus::Optimal {
-            return Err(CoreError::BoundLpFailed(format!(
-                "{} LP terminated with status {:?}",
-                match sense {
-                    Sense::Minimize => "lower-bound",
-                    Sense::Maximize => "upper-bound",
-                },
-                solution.status
-            )));
+    /// Anchors the budget for one solve: every engine call that follows
+    /// shares one absolute deadline, re-anchored on every solve.
+    fn anchor_budget(&mut self) {
+        if !self.options.budget.is_unlimited() {
+            self.options.simplex.budget = self
+                .options
+                .budget
+                .engine_budget(mapqn_linalg::budget::now());
         }
-        Ok(solution)
     }
 
     /// Assembles a valid interval from the two optima.
@@ -707,8 +703,8 @@ impl MarginalBoundSolver {
     /// Only construction-grade failures surface: solve failures (budget
     /// exhaustion, numerical breakdown) are absorbed by the degradation
     /// ladder (see [`super::robust`]), which falls back to a salted
-    /// re-solve, a self-seeded population bootstrap and finally the
-    /// algebraic asymptotic floor — the returned
+    /// re-solve, a tightened-tolerance re-solve, a self-seeded population
+    /// bootstrap and finally the algebraic asymptotic floor — the returned
     /// [`NetworkBounds::quality`] records which rung answered.
     pub fn bound_all(&mut self) -> Result<NetworkBounds> {
         let start = mapqn_linalg::budget::now();
@@ -727,7 +723,7 @@ impl MarginalBoundSolver {
     /// `MarginalBoundSolver::canonical_indices` at slots `0..len`, then
     /// all maximizations at `len..2*len`); pass an empty slice (or `None`
     /// entries) to leave slots unseeded. Seeds are typically produced by
-    /// [`MarginalBoundSolver::translate_solved_bases_to`] on the same
+    /// [`MarginalBoundSolver::translate_basis`] on the same
     /// network at a neighbouring population; unusable seeds fall back to the
     /// primal warm-start path, so seeding can only help.
     ///
@@ -745,16 +741,7 @@ impl MarginalBoundSolver {
     /// # Errors
     /// Propagates LP failures.
     pub fn bound_all_seeded(&mut self, seeds: &[Option<Basis>]) -> Result<NetworkBounds> {
-        // Anchor the declarative budget for this whole solve: every engine
-        // call below shares one absolute deadline through the simplex
-        // options. Re-anchored on every entry, so repeated solves each get
-        // the full allowance.
-        if !self.options.budget.is_unlimited() {
-            self.options.simplex.budget = self
-                .options
-                .budget
-                .engine_budget(mapqn_linalg::budget::now());
-        }
+        self.anchor_budget();
         let m = self.layout.m;
         let n = self.layout.population;
         let indices = self.canonical_indices();
@@ -819,10 +806,10 @@ impl MarginalBoundSolver {
 
     /// Solves one canonical slot (objective `indices[i]` in `sense`) with
     /// its optional seed, recording the optimal basis and engine path at the
-    /// slot. Per-solve tracing for performance forensics is enabled by the
-    /// `MAPQN_DUAL_DEBUG` environment variable (which objectives transfer,
-    /// roll, or fall back, with pivot counts — the data every tuning
-    /// decision in this module came from).
+    /// slot. Which objectives transfer, roll or fall back, with their pivot
+    /// counts, is the data every tuning decision in this module came from;
+    /// [`MarginalBoundSolver::solve_outcomes`] and
+    /// [`MarginalBoundSolver::timings`] expose it.
     fn solve_slot(
         &mut self,
         indices: &[PerformanceIndex],
@@ -837,23 +824,13 @@ impl MarginalBoundSolver {
         };
         let seed = seeds.get(slot).and_then(Option::as_ref);
         let terms = self.objective_terms(indices[i]);
-        let t0 = mapqn_linalg::budget::now();
         let (solution, basis, outcome) = self
-            .solve_checked_seeded(&terms, sense, seed)
+            .solve_objective(&terms, sense, seed)
             .map_err(|e| CoreError::ObjectiveSolve {
                 population: self.layout.population,
                 objective: indices[i],
                 source: Box::new(e),
             })?;
-        if dual_debug() {
-            eprintln!(
-                "  solve {:?} {sense:?}: {:.1}ms {} its seeded={} outcome={outcome:?}",
-                indices[i],
-                t0.elapsed().as_secs_f64() * 1e3,
-                solution.iterations,
-                seed.is_some()
-            );
-        }
         self.context.solved_bases[slot] = basis;
         self.context.solve_outcomes[slot] = outcome;
         Ok(solution)
@@ -869,91 +846,12 @@ impl MarginalBoundSolver {
         Ok(response_time_from_throughput(x, self.layout.population))
     }
 
-    /// Like [`MarginalBoundSolver::solve_checked`], but optionally trying a
-    /// dual-simplex seed first and returning the optimal basis alongside
-    /// the solution (an empty basis when the dense oracle answered — it
-    /// carries no reusable basis) plus the engine path taken.
-    fn solve_checked_seeded(
-        &mut self,
-        terms: &[(usize, f64)],
-        sense: Sense,
-        seed: Option<&Basis>,
-    ) -> Result<(LpSolution, Basis, SlotOutcome)> {
-        let (solution, basis, outcome) = self.solve_objective_seeded(terms, sense, seed)?;
-        if solution.status != LpStatus::Optimal {
-            return Err(CoreError::BoundLpFailed(format!(
-                "{} LP terminated with status {:?}",
-                match sense {
-                    Sense::Minimize => "lower-bound",
-                    Sense::Maximize => "upper-bound",
-                },
-                solution.status
-            )));
-        }
-        Ok((
-            solution,
-            basis.unwrap_or_else(|| Basis::from_columns(Vec::new())),
-            outcome,
-        ))
-    }
-
-    /// Solves one objective over the cached constraint set, dispatching on
-    /// the configured engine. The revised path warm starts from the basis of
-    /// the previous solve and falls back to the dense oracle if the engine
-    /// reports a numerical failure.
-    fn solve_objective(&mut self, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
-        self.solve_objective_seeded(terms, sense, None)
-            .map(|(solution, _, _)| solution)
-    }
-
-    /// Engine dispatch with an optional dual seed. Every fallback to the
-    /// dense oracle is counted in [`MarginalBoundSolver::stats`]: the
-    /// fallback used to be silent, which let revised-engine regressions
-    /// masquerade as mysterious slowdowns (the oracle cycles on the larger
-    /// case-study LPs) instead of failing visibly.
-    fn solve_objective_seeded(
-        &mut self,
-        terms: &[(usize, f64)],
-        sense: Sense,
-        seed: Option<&Basis>,
-    ) -> Result<(LpSolution, Option<Basis>, SlotOutcome)> {
-        if self.options.simplex.engine == SimplexEngine::DenseTableau {
-            let t_dense = mapqn_linalg::budget::now();
-            let solution = self.solve_dense(terms, sense);
-            self.context.timings.dense_ns += t_dense.elapsed().as_nanos() as u64;
-            return Ok((solution?, None, SlotOutcome::Primal));
-        }
-        let attempt = self.solve_revised(terms, sense, seed);
-        if dual_debug() {
-            match &attempt {
-                Ok(None) => eprintln!("dense-fallback: revised returned non-optimal"),
-                Err(CoreError::Lp(e)) => eprintln!("dense-fallback: revised error: {e}"),
-                _ => {}
-            }
-        }
-        match attempt {
-            Ok(Some((solution, basis, outcome))) => Ok((solution, Some(basis), outcome)),
-            // Budget exhaustion must NOT fall back to the oracle: the dense
-            // tableau re-solves cold (it can cycle for minutes on the larger
-            // case-study LPs), which would spend the very time the budget is
-            // supposed to cap. Propagate so the degradation ladder answers.
-            Err(e @ CoreError::Lp(LpError::BudgetExhausted(_))) => Err(e),
-            // Infeasible constraint set or numerical breakdown: let the
-            // oracle produce the authoritative answer (or error) — but
-            // count the fallback so it stays observable.
-            Ok(None) | Err(CoreError::Lp(_)) => {
-                self.context.stats.dense_fallbacks += 1;
-                let t_dense = mapqn_linalg::budget::now();
-                let solution = self.solve_dense(terms, sense);
-                self.context.timings.dense_ns += t_dense.elapsed().as_nanos() as u64;
-                Ok((solution?, None, SlotOutcome::DenseFallback))
-            }
-            Err(other) => Err(other),
-        }
-    }
-
-    /// Revised-engine solve; `Ok(None)` means the engine could not produce
-    /// an optimal solution and the caller should fall back to the oracle.
+    /// Solves one objective over the cached constraint set and insists on
+    /// an optimal termination; returns the solution, its optimal basis and
+    /// the engine path taken. A revised-engine failure is an error for the
+    /// degradation ladder: only an explicit [`SimplexEngine::DenseTableau`]
+    /// selection reaches the dense oracle, which solves cold and carries no
+    /// reusable basis (its slots record an empty one).
     ///
     /// When a `dual_seed` is supplied (a basis translated from the same
     /// network at a neighbouring population), the dual engine is tried
@@ -961,12 +859,22 @@ impl MarginalBoundSolver {
     /// was optimal for, and a few dual pivots repair primal feasibility —
     /// no phase 1 at all. A rejected seed silently degrades to the primal
     /// warm-start path (and is counted in the stats).
-    fn solve_revised(
+    fn solve_objective(
         &mut self,
         terms: &[(usize, f64)],
         sense: Sense,
         dual_seed: Option<&Basis>,
-    ) -> Result<Option<(LpSolution, Basis, SlotOutcome)>> {
+    ) -> Result<(LpSolution, Basis, SlotOutcome)> {
+        if self.options.simplex.engine == SimplexEngine::DenseTableau {
+            let mut problem = self.base.clone();
+            problem.set_objective(terms);
+            problem.set_sense(sense);
+            let solution = problem.solve_with(&self.options.simplex)?;
+            if solution.status != LpStatus::Optimal {
+                return Err(not_optimal(sense, solution.status));
+            }
+            return Ok((solution, Basis::from_columns(Vec::new()), SlotOutcome::Primal));
+        }
         if self.context.warm.is_none() {
             let t_setup = mapqn_linalg::budget::now();
             let engine = RevisedSimplex::new(&self.base).map_err(CoreError::Lp)?;
@@ -1013,7 +921,7 @@ impl MarginalBoundSolver {
                     if outcome == SlotOutcome::DualWarm {
                         stats.dual_warm_solves += 1;
                     }
-                    return Ok(Some((solution, basis, outcome)));
+                    return Ok((solution, basis, outcome));
                 }
                 // Unusable seed (dual infeasible, stalled, or a numerical
                 // error): degrade to the primal path below.
@@ -1050,7 +958,7 @@ impl MarginalBoundSolver {
             let found = warm.engine.find_feasible_basis(&self.options.simplex);
             timings.phase1_ns += t_phase1.elapsed().as_nanos() as u64;
             let Some(basis) = found.map_err(CoreError::Lp)? else {
-                return Ok(None);
+                return Err(not_optimal(sense, LpStatus::Infeasible));
             };
             warm.basis = Some(basis);
         }
@@ -1065,7 +973,7 @@ impl MarginalBoundSolver {
         let (solution, next_basis) = attempt.map_err(CoreError::Lp)?;
         timings.primal_pivots += solution.iterations as u64;
         if solution.status != LpStatus::Optimal {
-            return Ok(None);
+            return Err(not_optimal(sense, solution.status));
         }
         warm.basis = Some(next_basis.clone());
         let outcome = if repaired && solution.iterations <= TRANSFER_ACCEPT_ITERATIONS {
@@ -1080,27 +988,7 @@ impl MarginalBoundSolver {
         if outcome == SlotOutcome::RepairWarm {
             stats.feasibility_repairs += 1;
         }
-        Ok(Some((solution, next_basis, outcome)))
-    }
-
-    /// Cold dense-tableau solve (the original code path, kept as oracle).
-    fn solve_dense(&self, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
-        let mut problem = self.base.clone();
-        problem.set_objective(terms);
-        problem.set_sense(sense);
-        let options = SimplexOptions {
-            engine: SimplexEngine::DenseTableau,
-            ..self.options.simplex
-        };
-        Ok(problem.solve_with(&options)?)
-    }
-
-    /// The basis cached from the most recent revised-engine solve, if any.
-    /// Together with [`MarginalBoundSolver::translate_basis_to`] this lets a
-    /// population sweep seed the next population's solver.
-    #[must_use]
-    pub fn warm_basis(&self) -> Option<Basis> {
-        self.context.warm.as_ref().and_then(|w| w.basis.clone())
+        Ok((solution, next_basis, outcome))
     }
 
     /// The optimal bases recorded by the last
@@ -1309,26 +1197,6 @@ impl MarginalBoundSolver {
         Some(self.translate_basis(basis, target))
     }
 
-    /// Translates every basis recorded by the last full solve (see
-    /// [`MarginalBoundSolver::solved_bases`]) into `target`'s variable
-    /// numbering, preserving the canonical objective order — the seed
-    /// vector for [`MarginalBoundSolver::bound_all_seeded`] on the same
-    /// network at a different population. Returns `None` when no full solve
-    /// has run yet.
-    #[must_use]
-    pub fn translate_solved_bases_to(&self, target: &MarginalBoundSolver) -> Option<Vec<Basis>> {
-        if self.context.solved_bases.is_empty() {
-            return None;
-        }
-        Some(
-            self.context
-                .solved_bases
-                .iter()
-                .map(|basis| self.translate_basis(basis, target))
-                .collect(),
-        )
-    }
-
     /// Seeds the revised engine with a starting basis (typically obtained
     /// from [`MarginalBoundSolver::translate_basis_to`] on a neighbouring
     /// population's solver). Invalid or infeasible seeds are repaired or
@@ -1365,6 +1233,15 @@ const _: () = {
 
 /// Little's-law conversion used by the paper: `R_min = N / X_max`,
 /// `R_max = N / X_min`.
+/// The error of an objective solve that terminated without an optimum.
+fn not_optimal(sense: Sense, status: LpStatus) -> CoreError {
+    let bound = match sense {
+        Sense::Minimize => "lower-bound",
+        Sense::Maximize => "upper-bound",
+    };
+    CoreError::BoundLpFailed(format!("{bound} LP terminated with status {status:?}"))
+}
+
 pub(crate) fn response_time_from_throughput(x: BoundInterval, population: usize) -> BoundInterval {
     let n = population as f64;
     let upper = if x.lower > 0.0 { n / x.lower } else { f64::INFINITY };

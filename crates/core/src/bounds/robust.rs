@@ -24,7 +24,11 @@
 //!    perturbation stream is re-drawn under a different salt. Degenerate
 //!    pivot dead ends are salt-dependent; a re-draw routinely escapes
 //!    them. Succeeds → still [`Quality::Certified`] (it is the same LP).
-//! 3. **Self-seeded bootstrap** (rung 3): the population is approached
+//! 3. **Tightened re-solve** (rung 3): a fresh solver under yet another
+//!    salt and a feasibility tolerance divided by `TIGHTEN_FACTOR`; a
+//!    drifting solve is often rescued by the stricter test. Succeeds →
+//!    [`Quality::Certified`]. No rung falls back to the dense tableau.
+//! 4. **Self-seeded bootstrap** (rung 4): the population is approached
 //!    through a doubling schedule (8, 16, 32, …, N), each step dual-warm
 //!    seeded from the previous one's optimal bases exactly like a
 //!    population sweep. Warm bases steer the solver onto the optimal face
@@ -32,7 +36,7 @@
 //!    large N. Succeeds → [`Quality::SelfSeeded`]: the intervals are still
 //!    LP-certified, but the path that produced them was not the default
 //!    one, which is worth surfacing.
-//! 4. **Asymptotic floor** (rung 4): the algebraic can't-fail answer —
+//! 5. **Asymptotic floor** (rung 5): the algebraic can't-fail answer —
 //!    ABA throughput bounds (balanced-job refined when every station is
 //!    exponential), per-station intervals derived from visit ratios and
 //!    demands, `[0, N]` queue lengths. Pure arithmetic on the demand
@@ -49,9 +53,11 @@
 //! diagnostics stamped: it slices the shared budget, runs and records each
 //! rung, and ends in the always-answer floor. `bound_all` and
 //! [`PopulationSweep::bounds_at`] hand their direct result to `answer`,
-//! which walks the rungs above; the planning session walks direct →
-//! salted → tightened → fluid → floor on the same recorder. The front
-//! doors differ only in their rung lists, salts and slices.
+//! which walks the rungs above; [`MarginalBoundSolver::bound`] walks only
+//! the salted and tightened re-solves; the planning session walks direct →
+//! salted → tightened → fluid → floor. All re-solve through
+//! `Ladder::resolve`, so the front doors differ only in their rung
+//! lists, salts and slices.
 
 use super::aba::{aba_bounds, balanced_job_bounds};
 use super::marginal::{
@@ -70,8 +76,9 @@ use std::time::{Duration, Instant};
 /// meaningful slices of what remains.
 pub(crate) const DIRECT_SLICE: f64 = 0.35;
 
-/// Fraction of the *remaining* wall clock handed to the salted re-solve.
-const SALTED_SLICE: f64 = 0.3;
+/// Fraction of the *remaining* wall clock handed to each certified
+/// re-solve, leaving the bootstrap about half of what the direct left.
+const RESOLVE_SLICE: f64 = 0.3;
 
 /// Smallest population worth bootstrapping: at or below this the direct
 /// solve and the bootstrap are the same computation, so the rung is
@@ -83,9 +90,28 @@ const BOOTSTRAP_MIN: usize = 8;
 /// works, this one keeps the streams well spread).
 const SALTED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Salt offset of the bootstrap rung, distinct from both the original
-/// stream and the rung-2 stream.
+/// Salt offset of the tightened rung, shared by every ladder (the planning
+/// session's included).
+pub(crate) const TIGHTENED_SALT: u64 = 0x510E_527F_ADE6_82D1;
+
+/// Factor the tightened rung divides the simplex feasibility tolerance by.
+pub(crate) const TIGHTEN_FACTOR: f64 = 10.0;
+
+/// Salt offset of the bootstrap rung, distinct from the original stream
+/// and from both re-solve streams.
 const BOOTSTRAP_SALT: u64 = 0x3C6E_F372_FE94_F82A;
+
+/// One certified re-solve rung, `(rung, salt offset, slice)`: a fresh
+/// solver over the same LP under the base salt plus the offset, with that
+/// fraction of the wall clock the ladder has left ([`Ladder::resolve`]).
+pub(crate) type Resolve = (Rung, u64, f64);
+
+/// The certified re-solves of `bound_all`, [`PopulationSweep::bounds_at`]
+/// and [`MarginalBoundSolver::bound`].
+pub(super) const RESOLVES: [Resolve; 2] = [
+    (Rung::Salted, SALTED_SALT, RESOLVE_SLICE),
+    (Rung::Tightened, TIGHTENED_SALT, RESOLVE_SLICE),
+];
 
 /// Provenance of a [`NetworkBounds`]: which rung of the degradation ladder
 /// produced the intervals.
@@ -253,6 +279,28 @@ impl Ladder {
         }
     }
 
+    /// Walks the certified re-solve `rungs` in order, each on
+    /// `solve(options)` with the rung's salt and slice applied to `base`
+    /// ([`Rung::Tightened`] also divides the feasibility tolerance by
+    /// [`TIGHTEN_FACTOR`]); returns the first rung that answers, with its
+    /// answer.
+    pub(crate) fn resolve<T>(
+        &mut self,
+        rungs: &[Resolve],
+        base: BoundOptions,
+        mut solve: impl FnMut(BoundOptions) -> Result<T>,
+    ) -> Option<(Rung, T)> {
+        rungs.iter().find_map(|&(rung, salt, slice)| {
+            let mut options = base;
+            options.simplex.perturbation_salt = base.simplex.perturbation_salt.wrapping_add(salt);
+            options.budget = self.slice(slice);
+            if rung == Rung::Tightened {
+                options.simplex.tolerance /= TIGHTEN_FACTOR;
+            }
+            self.attempt(rung, || solve(options)).map(|value| (rung, value))
+        })
+    }
+
     /// Records a rung that failed outside [`Ladder::attempt`].
     pub(crate) fn fail(&mut self, rung: Rung, error: CoreError, elapsed: Duration) {
         self.record(rung, Some(error), elapsed);
@@ -293,7 +341,7 @@ impl Ladder {
 
 /// The always-answer front of `bound_all` and
 /// [`PopulationSweep::bounds_at`]: stamps the diagnostics onto the `direct`
-/// answer, or — when it failed at solve level — walks rungs 2–4. `start` is
+/// answer, or — when it failed at solve level — walks rungs 2–5. `start` is
 /// when the direct solve began, so the whole ladder shares one wall-clock
 /// allowance of `options.budget`.
 pub(super) fn answer(
@@ -313,9 +361,9 @@ pub(super) fn answer(
         }
         Err(error) => return Err(error),
     }
-    let salted = ladder.slice(SALTED_SLICE);
-    if let Some(bounds) = ladder.attempt(Rung::Salted, || salted_attempt(network, options, salted))
-    {
+    if let Some((_, bounds)) = ladder.resolve(&RESOLVES, options, |resolve| {
+        MarginalBoundSolver::with_options(network, resolve)?.bound_all_seeded(&[])
+    }) {
         return Ok(ladder.finish(bounds, Quality::Certified));
     }
     // The bootstrap is pointless at tiny populations, where it would just
@@ -330,21 +378,7 @@ pub(super) fn answer(
     ladder.floor(network)
 }
 
-/// Rung 2: a fresh solver over the same LP under a re-drawn perturbation
-/// salt.
-fn salted_attempt(
-    network: &ClosedNetwork,
-    mut options: BoundOptions,
-    budget: SolveBudget,
-) -> Result<NetworkBounds> {
-    options.simplex.perturbation_salt =
-        options.simplex.perturbation_salt.wrapping_add(SALTED_SALT);
-    options.budget = budget;
-    let mut solver = MarginalBoundSolver::with_options(network, options)?;
-    solver.bound_all_seeded(&[])
-}
-
-/// Rung 3: approach the target population through a doubling schedule,
+/// Rung 4: approach the target population through a doubling schedule,
 /// dual-warm seeding every step from the previous one — the ROADMAP
 /// candidate fix for the cold-solve cliff, packaged as a fallback.
 fn bootstrap_attempt(
@@ -381,7 +415,7 @@ fn bootstrap_attempt(
     Ok(last.expect("schedule always contains the target population"))
 }
 
-/// Rung 4: the algebraic floor. ABA system-throughput bounds (balanced-job
+/// Rung 5: the algebraic floor. ABA system-throughput bounds (balanced-job
 /// refined when every station is exponential — BJB assumes product form,
 /// which MAP service breaks), fanned out per station by the visit ratios;
 /// utilizations bounded by `X_max · D_k` and 1; queue lengths by `[0, N]`.

@@ -16,11 +16,11 @@
 //! [`PopulationSweep`] packages the loop: it remembers the optimal basis of
 //! *every* objective at the previous population, translates each one into
 //! the next population's variable numbering
-//! ([`MarginalBoundSolver::translate_solved_bases_to`]), and re-solves each
-//! objective with the dual engine from its own seed; unusable seeds fall
-//! back to the ordinary primal warm-start path, so a sweep is never slower
-//! than solving each population independently by more than the (cheap)
-//! translation.
+//! ([`MarginalBoundSolver::translate_basis`] and its variants), and
+//! re-solves each objective with the dual engine from its own seed;
+//! unusable seeds fall back to the ordinary primal warm-start path, so a
+//! sweep is never slower than solving each population independently by
+//! more than the (cheap) translation.
 //!
 //! ```
 //! use mapqn_core::bounds::PopulationSweep;
@@ -112,9 +112,6 @@ pub struct SweepStats {
     /// Seeded objectives whose seed was rejected and that fell back to the
     /// primal warm-start path.
     pub dual_seed_rejections: usize,
-    /// Objectives that fell all the way back to the dense-tableau oracle —
-    /// should stay zero; see [`MarginalBoundSolver::stats`].
-    pub dense_fallbacks: usize,
 }
 
 /// Drives [`MarginalBoundSolver`] across a family of populations of one
@@ -300,7 +297,6 @@ impl PopulationSweep {
         self.stats.repair_warm_objectives += solver_stats.feasibility_repairs;
         self.stats.dual_warm_objectives += solver_stats.dual_warm_solves;
         self.stats.dual_seed_rejections += solver_stats.dual_seed_rejections;
-        self.stats.dense_fallbacks += solver_stats.dense_fallbacks;
 
         self.previous = Some(solver);
         Ok(bounds)
@@ -333,6 +329,11 @@ mod tests {
         let mut sweep = PopulationSweep::new(&network).unwrap();
         for n in 1..=6 {
             let swept = sweep.bounds_at(n).unwrap();
+            assert!(
+                swept.diagnostics.attempts.is_empty(),
+                "N={n}: the sweep's own solve failed: {}",
+                swept.diagnostics
+            );
             let mut cold_solver =
                 MarginalBoundSolver::new(&network.with_population(n).unwrap()).unwrap();
             let cold = cold_solver.bound_all().unwrap();
@@ -359,7 +360,6 @@ mod tests {
         }
         let stats = sweep.stats();
         assert_eq!(stats.populations, 6);
-        assert_eq!(stats.dense_fallbacks, 0, "oracle fallback in a sweep");
         assert!(
             stats.dual_warm_objectives > 0,
             "expected at least some dual warm starts, got {stats:?}"

@@ -84,7 +84,7 @@
 //! ```
 
 use crate::bounds::marginal::{BoundOptions, MarginalBoundSolver, NetworkBounds};
-use crate::bounds::robust::{self, Ladder, Quality, Rung};
+use crate::bounds::robust::{self, Ladder, Quality, Resolve, Rung};
 use crate::fluid::{solve_fluid_with, FluidOptions};
 use crate::metrics::NetworkMetrics;
 use crate::network::ClosedNetwork;
@@ -102,15 +102,18 @@ use std::time::Duration;
 const SESSION_SALTED_SLICE: f64 = 0.4;
 
 /// Salt offset of the session's salted re-solve rung, distinct from the
-/// per-solve ladder's offsets so the two ladders never replay each other's
-/// perturbation streams.
+/// per-solve ladder's offset so the two salted rungs never replay each
+/// other's perturbation streams.
 const SESSION_SALTED_SALT: u64 = 0xA54F_F53A_5F1D_36F1;
 
-/// Salt offset of the tightened-tolerance rung.
-const SESSION_TIGHTENED_SALT: u64 = 0x510E_527F_ADE6_82D1;
-
-/// Factor the tightened rung divides the simplex feasibility tolerance by.
-const TIGHTEN_FACTOR: f64 = 10.0;
+/// The session's certified re-solves after a failed direct rung: its own
+/// salted stream, then the tightened rung every ladder shares, which may
+/// spend all the wall clock left (the fluid and floor rungs behind it are
+/// exempt from the budget).
+const SESSION_RESOLVES: [Resolve; 2] = [
+    (Rung::Salted, SESSION_SALTED_SALT, SESSION_SALTED_SLICE),
+    (Rung::Tightened, robust::TIGHTENED_SALT, 1.0),
+];
 
 /// One what-if delta applied on top of the session's current model.
 #[derive(Debug, Clone)]
@@ -618,7 +621,7 @@ impl PlanningSession {
                 };
                 let intact = MarginalBoundSolver::with_options(
                     &network,
-                    bound_options(&self.options, 0, SolveBudget::unlimited()),
+                    bound_options(&self.options),
                 )
                 .and_then(|solver| {
                     solver.verify_basis(&witness, self.options.verify_tolerance)
@@ -912,12 +915,11 @@ fn service_fingerprint(network: &ClosedNetwork) -> u64 {
     h
 }
 
-/// The bound options of one certified rung: the session's base salt plus a
-/// rung offset, under the given budget.
-fn bound_options(options: &SessionOptions, salt_offset: u64, budget: SolveBudget) -> BoundOptions {
+/// The unbudgeted bound options of the session's direct rung: its base
+/// salt (the re-solve rungs add their offsets to it).
+fn bound_options(options: &SessionOptions) -> BoundOptions {
     let mut bound = BoundOptions::default();
-    bound.simplex.perturbation_salt = options.base_salt.wrapping_add(salt_offset);
-    bound.budget = budget;
+    bound.simplex.perturbation_salt = options.base_salt;
     bound
 }
 
@@ -945,38 +947,36 @@ fn solve_request(
 
     if let Some(seeds) = certified {
         // Direct under a budget slice (with the neighbor seeds, when
-        // armed); then a salted re-solve and a tightened-tolerance one (a
-        // drifting solve is often rescued by a stricter feasibility test),
-        // each under its own salt and without seeds — the seeds belong to
-        // the stream that just failed.
-        let rungs = [
-            (Rung::Direct, 0, robust::DIRECT_SLICE),
-            (Rung::Salted, SESSION_SALTED_SALT, SESSION_SALTED_SLICE),
-            (Rung::Tightened, SESSION_TIGHTENED_SALT, 1.0),
-        ];
-        for (rung, salt, slice) in rungs {
-            let mut bound = bound_options(options, salt, ladder.slice(slice));
-            if rung == Rung::Tightened {
-                bound.simplex.tolerance /= TIGHTEN_FACTOR;
-            }
-            let seeds = if rung == Rung::Direct { seeds } else { None };
-            if let Some((bounds, bases, seeded)) =
-                ladder.attempt(rung, || certified_attempt(network, bound, seeds))
-            {
-                let quality = if seeded {
-                    Quality::SelfSeeded
-                } else {
-                    Quality::Certified
-                };
-                let bounds = ladder.finish(bounds, quality);
-                return Ok(SolveOutcome {
-                    metrics: midpoint_metrics(network, &bounds),
-                    bounds,
-                    bases,
-                    rung,
-                    seeded,
-                });
-            }
+        // armed); then the certified re-solves, each under its own salt
+        // and without seeds — the seeds belong to the stream that just
+        // failed.
+        let base = bound_options(options);
+        let direct = BoundOptions {
+            budget: ladder.slice(robust::DIRECT_SLICE),
+            ..base
+        };
+        let answered = ladder
+            .attempt(Rung::Direct, || certified_attempt(network, direct, seeds))
+            .map(|answer| (Rung::Direct, answer))
+            .or_else(|| {
+                ladder.resolve(&SESSION_RESOLVES, base, |resolve| {
+                    certified_attempt(network, resolve, None)
+                })
+            });
+        if let Some((rung, (bounds, bases, seeded))) = answered {
+            let quality = if seeded {
+                Quality::SelfSeeded
+            } else {
+                Quality::Certified
+            };
+            let bounds = ladder.finish(bounds, quality);
+            return Ok(SolveOutcome {
+                metrics: midpoint_metrics(network, &bounds),
+                bounds,
+                bases,
+                rung,
+                seeded,
+            });
         }
     }
 

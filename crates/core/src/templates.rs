@@ -175,7 +175,7 @@ pub fn tpcw_network(params: &TpcwParameters) -> Result<ClosedNetwork> {
 /// `bench_ensemble` — including the SCV=8 / decay-0.6 instance that
 /// historically drove the revised engine to a dense-oracle fallback at
 /// `N = 7` (fixed by the LP row equilibration; `tests/tpcw_server_tier.rs`
-/// keeps it at zero fallbacks).
+/// keeps every solve there on the direct rung).
 ///
 /// # Errors
 /// Propagates network-construction and MAP-fitting failures.

@@ -7,12 +7,15 @@
 //! population where the cold solve historically cycled for minutes)
 //! answers within a 30 s budget instead of erroring.
 
-use mapqn_core::bounds::{BoundOptions, Quality};
+use mapqn_core::bounds::{BoundOptions, Quality, Rung};
+use mapqn_core::random_models::{random_model, RandomModelSpec};
 use mapqn_core::templates::figure5_network;
 use mapqn_core::MarginalBoundSolver;
 use mapqn_faults::FaultSite;
 use mapqn_linalg::SolveBudget;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 /// Arms a window that never fires, overriding any `MAPQN_FAULT`
@@ -177,4 +180,53 @@ fn cold_fig8_cliff_population_answers_within_budget() {
         bounds.quality,
         Quality::Certified | Quality::SelfSeeded | Quality::Asymptotic
     ));
+}
+
+/// Table 1 model #22 (the 23rd draw of the `table1_random_models` stream,
+/// seed 20080414) at N = 8 under a 2,000-pivot cap: the direct and salted
+/// solves both fail, and the tightened rung certifies the answer.
+#[test]
+fn table1_model_22_is_certified_by_the_tightened_rung() {
+    let _guard = quiet();
+    let spec = RandomModelSpec {
+        num_map_queues: 2,
+        ..RandomModelSpec::default()
+    };
+    let mut rng = StdRng::seed_from_u64(20080414);
+    let model = (0..=22)
+        .map(|_| random_model(&spec, &mut rng))
+        .last()
+        .unwrap()
+        .unwrap();
+    let network = model.network.with_population(8).unwrap();
+    let options = BoundOptions {
+        budget: SolveBudget {
+            max_pivots: Some(2_000),
+            ..SolveBudget::unlimited()
+        },
+        ..BoundOptions::default()
+    };
+    let bounds = MarginalBoundSolver::with_options(&network, options)
+        .unwrap()
+        .bound_all()
+        .unwrap();
+    let rungs: Vec<(Rung, bool)> = bounds
+        .diagnostics
+        .attempts
+        .iter()
+        .map(|a| (a.rung, a.error.is_some()))
+        .collect();
+    assert_eq!(
+        rungs,
+        vec![
+            (Rung::Direct, true),
+            (Rung::Salted, true),
+            (Rung::Tightened, false),
+        ],
+        "{}",
+        bounds.diagnostics
+    );
+    assert_eq!(bounds.quality, Quality::Certified);
+    assert!(bounds.system_throughput.lower > 0.0);
+    assert!(bounds.system_throughput.lower <= bounds.system_throughput.upper);
 }

@@ -168,8 +168,19 @@ fn fluid_nonconvergence_is_degraded_past_by_the_router() {
     assert!(answer.attempts.iter().any(|a| a.engine == Engine::Fluid && a.error.is_some()));
 }
 
-/// Permanent LP iteration exhaustion (revised engine *and* dense oracle)
-/// walks the whole ladder down to the algebraic floor.
+/// The ladder rungs of an answer, each with whether it failed.
+fn rungs_of(bounds: &NetworkBounds) -> Vec<(Rung, bool)> {
+    bounds
+        .diagnostics
+        .attempts
+        .iter()
+        .map(|a| (a.rung, a.error.is_some()))
+        .collect()
+}
+
+/// Permanent LP iteration exhaustion fails every certified rung — direct,
+/// salted and tightened (N = 4 is too small for the bootstrap) — and the
+/// algebraic floor answers.
 #[test]
 fn lp_iteration_exhaustion_degrades_to_the_floor() {
     let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, u64::MAX);
@@ -179,30 +190,44 @@ fn lp_iteration_exhaustion_degrades_to_the_floor() {
     assert_valid(&bounds);
     assert_eq!(bounds.quality, Quality::Asymptotic);
     assert!(bounds.diagnostics.degraded());
-    let rungs: Vec<Rung> = bounds.diagnostics.attempts.iter().map(|a| a.rung).collect();
-    assert_eq!(rungs, vec![Rung::Direct, Rung::Salted, Rung::Floor]);
-    assert!(bounds.diagnostics.attempts[0].error.is_some());
-    assert!(bounds.diagnostics.attempts[1].error.is_some());
-    assert!(bounds.diagnostics.attempts[2].error.is_none());
+    assert_eq!(
+        rungs_of(&bounds),
+        vec![
+            (Rung::Direct, true),
+            (Rung::Salted, true),
+            (Rung::Tightened, true),
+            (Rung::Floor, false),
+        ]
+    );
 }
 
-/// Permanent basis-factorization breakdown only disables the revised
-/// engine; the dense-tableau oracle (which keeps no factorization) absorbs
-/// it below the ladder, so the answer stays certified.
+/// A permanent basis-factorization breakdown disables the revised engine,
+/// the only engine on the production path: every certified rung fails on
+/// it and the algebraic floor answers. The dense tableau, which keeps no
+/// factorization, is a test oracle and never stands in.
 #[test]
-fn lp_factorization_fault_is_absorbed_by_the_dense_oracle() {
+fn lp_factorization_breakdown_walks_the_certified_rungs_to_the_floor() {
     let _guard = mapqn_faults::arm(FaultSite::LpFactorization, 0, u64::MAX);
     let network = figure5_network(4, 4.0, 0.5).unwrap();
     let mut solver = MarginalBoundSolver::with_options(&network, budgeted_options()).unwrap();
     let bounds = solver.bound_all().unwrap();
     assert_valid(&bounds);
-    assert_eq!(bounds.quality, Quality::Certified);
-    assert!(!bounds.diagnostics.degraded());
+    assert_eq!(bounds.quality, Quality::Asymptotic);
+    assert_eq!(
+        rungs_of(&bounds),
+        vec![
+            (Rung::Direct, true),
+            (Rung::Salted, true),
+            (Rung::Tightened, true),
+            (Rung::Floor, false),
+        ]
+    );
+    assert_eq!(solver.stats().dense_fallbacks, 0);
 }
 
-/// A transient fault (one injected iteration-limit) is absorbed before the
-/// ladder even engages: the engine's own dense fallback answers and the
-/// result stays certified.
+/// A transient fault (one injected iteration limit) fails only the direct
+/// solve: the salted re-solve on a fresh solver answers, so the result
+/// stays certified.
 #[test]
 fn transient_lp_fault_is_absorbed_by_the_engine() {
     let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, 1);
@@ -211,6 +236,10 @@ fn transient_lp_fault_is_absorbed_by_the_engine() {
     let bounds = solver.bound_all().unwrap();
     assert_valid(&bounds);
     assert_eq!(bounds.quality, Quality::Certified);
+    assert_eq!(
+        rungs_of(&bounds),
+        vec![(Rung::Direct, true), (Rung::Salted, false)]
+    );
 }
 
 /// Forced budget expiry (the `budget-expiry` hook makes every deadline
@@ -319,13 +348,7 @@ fn permanent_request_timeout_degrades_every_request_to_fluid() {
 }
 
 fn session_rungs(answer: &PlanningAnswer) -> Vec<(Rung, bool)> {
-    answer
-        .bounds
-        .diagnostics
-        .attempts
-        .iter()
-        .map(|a| (a.rung, a.error.is_some()))
-        .collect()
+    rungs_of(&answer.bounds)
 }
 
 /// The session ladder walks its rungs in one fixed order. Each armed site
@@ -417,15 +440,16 @@ fn session_floor_answer_reports_the_session_budget() {
 }
 
 /// A cache hit reports the rung that produced the cached answer: with only
-/// the direct rung failed (one injected iteration limit in the revised
-/// engine, one in its dense fallback), the salted rung answers, and the
-/// hit on the same key says so.
+/// the direct rung failed (one injected iteration limit), the salted rung
+/// answers, and the hit on the same key says so. The salted answer's
+/// solved basis is a real witness, so the hit verifies, returns the cold
+/// answer bit for bit and quarantines nothing.
 #[test]
 fn cache_hit_reports_the_rung_of_the_cached_answer() {
     let mut session = PlanningSession::new(figure5_network(4, 4.0, 0.5).unwrap());
     let request = PlanningRequest::new("r", vec![]);
     let cold = {
-        let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, 2);
+        let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, 1);
         session.ask(&request).unwrap()
     };
     assert_eq!(
@@ -439,6 +463,8 @@ fn cache_hit_reports_the_rung_of_the_cached_answer() {
     };
     assert_eq!(hit.source, AnswerSource::CacheHit);
     assert_eq!(hit.rung, Rung::Salted);
+    assert_bounds_bitwise_equal(&cold.bounds, &hit.bounds);
+    assert_eq!(session.stats().quarantines, 0);
 }
 
 /// A one-shot `session-breaker` forces exactly one request onto the

@@ -137,17 +137,12 @@ impl RevisedSimplex {
         let maximize = sense == Sense::Maximize;
         let costs = self.phase2_costs(objective, maximize);
 
-        let debug = std::env::var_os("MAPQN_DUAL_DEBUG").is_some();
-        let t_start = mapqn_linalg::budget::now();
         let Some(mut work) = self.seed_work(seed) else {
-            if debug { eprintln!("dual-reject: seed factorization failed"); }
             return Ok(None);
         };
-        let t_seed = t_start.elapsed().as_secs_f64() * 1e3;
         let Some((mut reduced, mut excluded)) =
             self.dual_feasible_reduced_costs(&mut work, &costs)
         else {
-            if debug { eprintln!("dual-reject: seed not dual feasible"); }
             return Ok(None);
         };
 
@@ -192,9 +187,6 @@ impl RevisedSimplex {
                         .refresh_dual(&mut work, &costs, &mut reduced, &mut excluded)
                         .is_none()
                     {
-                        if debug {
-                            eprintln!("dual-reject: verification refresh failed");
-                        }
                         return Ok(None);
                     }
                     let worst_true = work
@@ -210,11 +202,6 @@ impl RevisedSimplex {
                         })
                         .fold(0.0f64, f64::max);
                     if worst_true > FEAS_TOL {
-                        if debug {
-                            eprintln!(
-                                "dual-verify: eta-chain feasibility was fiction (true worst {worst_true:.3e}), resuming from fresh factor"
-                            );
-                        }
                         continue;
                     }
                 }
@@ -231,7 +218,6 @@ impl RevisedSimplex {
                 || work.iterations >= options.max_iterations
                 || mapqn_faults::fire(mapqn_faults::FaultSite::LpIterations)
             {
-                if debug { eprintln!("dual-reject: pivot budget exhausted ({dual_pivots})"); }
                 return Ok(None);
             }
             let dual_objective: f64 = work
@@ -254,7 +240,6 @@ impl RevisedSimplex {
             } else {
                 stall += 1;
                 if stall >= DUAL_STALL_LIMIT {
-                    if debug { eprintln!("dual-reject: stalled after {dual_pivots} pivots (worst viol {worst:.2e})"); }
                     return Ok(None);
                 }
             }
@@ -293,7 +278,6 @@ impl RevisedSimplex {
                 // is primal infeasible along this row, or (on the LPs this
                 // workspace solves, which are always feasible) the carried
                 // basis is numerically hopeless. Either way: fall back.
-                if debug { eprintln!("dual-reject: no entering candidate (pivots {dual_pivots})"); }
                 return Ok(None);
             }
             let mut entering: Option<usize> = None;
@@ -313,7 +297,6 @@ impl RevisedSimplex {
                 }
             }
             let Some(q) = entering else {
-                if debug { eprintln!("dual-reject: no pivot under relaxed bound (pivots {dual_pivots})"); }
                 return Ok(None);
             };
 
@@ -329,7 +312,6 @@ impl RevisedSimplex {
                 continue;
             }
             if best_pivot.abs() < MIN_PIVOT {
-                if debug { eprintln!("dual-reject: tiny dual pivot (pivots {dual_pivots})"); }
                 return Ok(None);
             }
 
@@ -405,18 +387,8 @@ impl RevisedSimplex {
             }
             work.xb = xb;
         }
-        let t_dual = t_start.elapsed().as_secs_f64() * 1e3 - t_seed;
-        let etas = work.factor.eta_count();
-        let t_fin = mapqn_linalg::budget::now();
         let (solution, out_basis) =
             self.finish_phase2(work, &costs, maximize, seed, options)?;
-        if debug {
-            eprintln!(
-                "dual-warm: seed {t_seed:.1}ms, {dual_pivots} pivots {t_dual:.1}ms (etas {etas}), finish {:.1}ms ({} primal its)",
-                t_fin.elapsed().as_secs_f64() * 1e3,
-                solution.iterations - dual_pivots
-            );
-        }
         Ok(Some((solution, out_basis, DualOutcome::Warm { dual_pivots })))
     }
 
@@ -549,9 +521,6 @@ impl RevisedSimplex {
         // near-optimal seed, it is a different vertex altogether — the dual
         // repair would hand most of the work to the primal polish anyway.
         if 4 * barred > nonbasic {
-            if std::env::var_os("MAPQN_DUAL_DEBUG").is_some() {
-                eprintln!("dual-reject: {barred}/{nonbasic} columns dual infeasible");
-            }
             return None;
         }
         Some((reduced, excluded))

@@ -27,9 +27,11 @@
 //!   [`revised::RevisedSimplex::solve_from_basis`], typically finishing in a
 //!   handful of pivots.
 //! * **Dense tableau** ([`simplex`]): the original two-phase dense
-//!   implementation, retained as a correctness oracle. Select it with
+//!   implementation, retained as a test oracle only. Select it with
 //!   [`SimplexOptions { engine: SimplexEngine::DenseTableau, .. }`](SimplexEngine);
-//!   every solve is cold (phase 1 runs from scratch).
+//!   every solve is cold (phase 1 runs from scratch) and it cycles on the
+//!   larger bound LPs. Nothing falls back to it: a revised-engine failure
+//!   is an error, for the bound solver's degradation ladder to handle.
 //!
 //! Both engines accept non-negative structural variables and `<=` / `>=` /
 //! `=` rows with arbitrary right-hand sides, use Dantzig pricing with an

@@ -101,7 +101,7 @@ const RATIO_DELTA: f64 = 1e-10;
 const REFRESH_FEAS_TOL: f64 = 1e-6;
 
 /// In-place feasibility repairs allowed per solve before the engine takes
-/// the error path (caller-level recovery, then the dense oracle). One
+/// the error path (caller-level recovery: the bound solver's ladder). One
 /// repair fixes a transient drift; a solve that needs one after every
 /// refactorization is walking an ill-conditioned region it will not leave,
 /// and repairing forever just burns the iteration budget.
@@ -339,13 +339,6 @@ impl RevisedSimplex {
         self.pert_salt.set(salt);
     }
 
-    /// Number of standard-form columns excluding artificials (structural
-    /// variables followed by slacks).
-    #[must_use]
-    pub fn num_real_columns(&self) -> usize {
-        self.total_real
-    }
-
     /// Verifies that a stored [`Basis`] is still a faithful witness for
     /// this engine's constraint set: every column valid and independent,
     /// the basis matrix factorizable, and the basic solution at the
@@ -533,9 +526,6 @@ impl RevisedSimplex {
             // "stuck while macroscopically infeasible" (reject).
             let noise_level = worst <= 10.0 * RATIO_DELTA;
             if budget == 0 {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!("dual-polish: budget exhausted (worst {worst:.3e})");
-                }
                 return Ok(false);
             }
             budget -= 1;
@@ -577,9 +567,6 @@ impl RevisedSimplex {
                     }
                     return Ok(true);
                 }
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!("dual-polish: no entering candidate (worst {worst:.3e})");
-                }
                 return Ok(false);
             }
             let mut entering: Option<usize> = None;
@@ -610,9 +597,6 @@ impl RevisedSimplex {
                     }
                     return Ok(true);
                 }
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!("dual-polish: tiny pivot {best_pivot:.3e} (worst {worst:.3e})");
-                }
                 return Ok(false);
             }
             d.fill(0.0);
@@ -622,12 +606,6 @@ impl RevisedSimplex {
                 || d[r].abs() < MIN_PIVOT
                 || d[r].signum() != best_pivot.signum()
             {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!(
-                        "dual-polish: cross-check failed (ftran {:.3e} btran {best_pivot:.3e})",
-                        d[r]
-                    );
-                }
                 return Ok(false);
             }
             let theta = work.xb[r] / d[r];
@@ -1026,8 +1004,8 @@ impl RevisedSimplex {
             if !optimal {
                 // Phase 1 is bounded below by zero, so an "unbounded"
                 // verdict can only be numerical (a drift-priced column with
-                // no real pivot); route it to the retry / oracle-fallback
-                // machinery instead of classifying feasibility from a
+                // no real pivot); route it to the caller's retry machinery
+                // instead of classifying feasibility from a
                 // non-converged basis.
                 return Err(LpError::Numerical(
                     "phase 1 failed to converge (no usable pivot for an improving column)"
@@ -1091,12 +1069,6 @@ impl RevisedSimplex {
             // right-hand side, so the same vertex immediately re-certifies
             // "optimal" under any draw.)
             if infeasibility > 1e-3 * rhs_scale {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!(
-                        "phase1-infeasible-verdict: residual {infeasibility:.3e} after {} its",
-                        work.iterations
-                    );
-                }
                 return Ok(Phase1Outcome::Infeasible);
             }
             if gray_zone_attempts >= 3 {
@@ -1108,12 +1080,6 @@ impl RevisedSimplex {
             }
             gray_zone_attempts += 1;
             phase1_options.tolerance = (phase1_options.tolerance / 100.0).max(1e-13);
-            if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                eprintln!(
-                    "phase1-gray-zone: residual {infeasibility:.3e} after {} its, retightening to {:.0e}",
-                    work.iterations, phase1_options.tolerance
-                );
-            }
             self.pert_salt.set(self.pert_salt.get().wrapping_add(1));
             self.refresh_factor(&mut work, true)?;
             if !self.apply_perturbation(&mut work) {
@@ -1214,7 +1180,7 @@ impl RevisedSimplex {
     /// replaced with artificials via [`complete_basis`]. In phase 2 a repair
     /// (or recompute) that breaks primal feasibility aborts the solve with a
     /// numerical error instead of silently continuing from an infeasible
-    /// point — the caller is expected to fall back to the dense oracle.
+    /// point — the caller is expected to retry (the bound solver's ladder).
     pub(crate) fn refresh_factor(&self, work: &mut Work, phase1: bool) -> Result<()> {
         if mapqn_faults::fire(mapqn_faults::FaultSite::LpFactorization) {
             return Err(LpError::Numerical(
@@ -1288,13 +1254,6 @@ impl RevisedSimplex {
                     }
                 }
                 if fixable || artificial_infeasible {
-                    if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                        let worst = work.xb.iter().cloned().fold(0.0f64, f64::min);
-                        eprintln!(
-                            "refresh-lost-feasibility: worst xb {worst:.3e}, repaired {repaired}, m {}",
-                            self.m
-                        );
-                    }
                     // Repair the rows **in place** on the fresh factor
                     // before giving up: a zero-objective dual pivot per
                     // violated row re-establishes primal feasibility a few
@@ -1378,9 +1337,6 @@ impl RevisedSimplex {
                 return Ok(true);
             };
             if budget == 0 {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!("inplace-repair: budget exhausted (worst {worst:.3e})");
-                }
                 return Ok(false);
             }
             budget -= 1;
@@ -1405,9 +1361,6 @@ impl RevisedSimplex {
                 }
             }
             let Some(q) = entering else {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!("inplace-repair: no entering for row {r} (viol {worst:.3e})");
-                }
                 return Ok(false);
             };
             d.fill(0.0);
@@ -1426,12 +1379,6 @@ impl RevisedSimplex {
                 || d[r].abs() < MIN_PIVOT
                 || d[r].signum() != best_pivot.signum()
             {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    eprintln!(
-                        "inplace-repair: pivot cross-check failed row {r}: ftran {:.3e} vs btran {:.3e}",
-                        d[r], best_pivot
-                    );
-                }
                 return Ok(false);
             }
             let theta = work.xb[r] / d[r];
@@ -1684,13 +1631,6 @@ impl RevisedSimplex {
                     banned.fill(false);
                     continue;
                 }
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                    let dmax = d.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-                    eprintln!(
-                        "unbounded-verdict: col {q}, max |d| {dmax:.3e}, iterations {}",
-                        work.iterations
-                    );
-                }
                 return Ok(false);
             };
 
@@ -1715,12 +1655,6 @@ impl RevisedSimplex {
                 continue;
             }
 
-            if tiny_pivot && std::env::var_os("MAPQN_LP_DEBUG").is_some() {
-                eprintln!(
-                    "tiny-pivot-step: col {q} pivot {best_pivot:.3e} theta {theta:.3e} at iteration {}",
-                    work.iterations
-                );
-            }
             self.apply_pivot(work, position, q, theta, &d, phase1)?;
             if tiny_pivot {
                 self.refresh_factor(work, phase1)?;

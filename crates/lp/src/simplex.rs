@@ -37,8 +37,8 @@ pub enum SimplexEngine {
     /// (see [`crate::revised`]). The default.
     #[default]
     Revised,
-    /// The original two-phase dense tableau, kept as a correctness oracle
-    /// and for debugging numerical discrepancies.
+    /// The original two-phase dense tableau, kept as a test oracle and for
+    /// debugging numerical discrepancies; nothing falls back to it.
     DenseTableau,
 }
 

@@ -18,9 +18,9 @@ impl Ctmc {
     ///
     /// # Errors
     /// Returns [`MarkovError::InvalidChain`] when the matrix is not square,
-    /// has negative off-diagonal entries, positive diagonal entries, or row
-    /// sums that deviate from zero by more than `1e-7` relative to the
-    /// largest rate in the row.
+    /// has non-finite entries, negative off-diagonal entries, positive
+    /// diagonal entries, or row sums that deviate from zero by more than
+    /// `1e-7` relative to the largest rate in the row.
     pub fn new(generator: CsrMatrix) -> Result<Self> {
         let n = generator.nrows();
         if n == 0 {
@@ -37,6 +37,12 @@ impl Ctmc {
             let mut row_sum = 0.0;
             let mut max_rate = 0.0_f64;
             for (j, v) in generator.row_iter(i) {
+                // NaN fails every comparison below: test finiteness first.
+                if !v.is_finite() {
+                    return Err(MarkovError::InvalidChain(format!(
+                        "entry Q[{i},{j}] = {v} is not finite"
+                    )));
+                }
                 if i == j {
                     if v > 1e-12 {
                         return Err(MarkovError::InvalidChain(format!(
@@ -178,4 +184,22 @@ mod tests {
         assert!(Ctmc::new(CsrMatrix::zeros(0, 0)).is_err());
     }
 
+    #[test]
+    fn new_rejects_non_finite_entries() {
+        // Each generator slips past the sign and row-sum checks when the
+        // entries are not tested for finiteness: NaN compares false, and an
+        // infinite rate makes the row-sum tolerance infinite too.
+        let generators = [
+            [(0, 0, -1.0), (0, 1, f64::NAN), (1, 0, 1.0), (1, 1, -1.0)],
+            [(0, 0, f64::NEG_INFINITY), (0, 1, f64::INFINITY), (1, 0, 1.0), (1, 1, -1.0)],
+            [(0, 0, f64::NEG_INFINITY), (0, 1, 1.0), (1, 0, 1.0), (1, 1, -1.0)],
+        ];
+        for triplets in generators {
+            let q = CsrMatrix::from_triplets(2, 2, &triplets).unwrap();
+            match Ctmc::new(q) {
+                Err(MarkovError::InvalidChain(msg)) => assert!(msg.contains("not finite"), "{msg}"),
+                other => panic!("non-finite generator accepted: {other:?}"),
+            }
+        }
+    }
 }

@@ -54,15 +54,6 @@ use crate::{MarkovError, Result};
 use mapqn_linalg::{DVector, GeneratorOp};
 use mapqn_par::{ScopedPool, WorkPool};
 
-/// Whether `MAPQN_SPARSE_DEBUG` residual tracing is on — read once per
-/// process. Prints every residual check (rung, sweep, residual, best) to
-/// stderr; the data behind the divergence-predictor and extrapolation
-/// tuning in this module.
-fn sparse_debug() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("MAPQN_SPARSE_DEBUG").is_some())
-}
-
 /// Which preconditioner drives the sparse stationary iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SparsePreconditioner {
@@ -615,11 +606,6 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 }
                 let mut residual = measure(&x, &mut candidate, &mut scratch);
                 last_residual = residual;
-                if sparse_debug() {
-                    eprintln!(
-                        "[sparse] rung {attempt_idx} {engine:?} omega {omega:.2} sweep {sweep}: residual {residual:.3e} best {best_residual:.3e}"
-                    );
-                }
                 if !residual.is_finite() {
                     break; // numerical blow-up: fall back to the next engine
                 }
@@ -723,7 +709,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 // when the residual has grown for many consecutive checks
                 // AND the cumulative growth of that one monotone run is far
                 // beyond what any benign transient can produce. Calibration
-                // (MAPQN_SPARSE_DEBUG traces on the validation models): the
+                // (per-check residual traces on the validation models): the
                 // largest *monotone* growth run of any converging rung is
                 // 31 checks x 13.3x total (the TPC-W hump — the documented
                 // ~300x-above-best excursions accumulate through interrupted
@@ -747,13 +733,6 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                         && residual >= 32.0 * streak_start
                         && residual >= 32.0 * best_residual
                     {
-                        if sparse_debug() {
-                            eprintln!(
-                                "[sparse] rung {attempt_idx} {engine:?}: predicted divergence at sweep {sweep} (streak {growth_streak}, {:.0}x start, {:.0}x best)",
-                                residual / streak_start,
-                                residual / best_residual
-                            );
-                        }
                         break;
                     }
                 } else {

@@ -194,10 +194,15 @@ fn bound_intervals_match_between_engines() {
     .unwrap();
     let revised_bounds = revised_solver.bound_all().unwrap();
     let dense_bounds = dense_solver.bound_all().unwrap();
+    assert!(
+        revised_bounds.diagnostics.attempts.is_empty(),
+        "the revised engine's direct solve failed: {}",
+        revised_bounds.diagnostics
+    );
     assert_eq!(
-        revised_solver.stats().dense_fallbacks,
-        0,
-        "the revised engine silently fell back to the dense oracle"
+        revised_solver.stats().revised_solves,
+        2 * (3 * network.num_stations() + 1),
+        "the revised engine did not answer every objective itself"
     );
     for k in 0..network.num_stations() {
         for (a, b) in [

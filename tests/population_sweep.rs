@@ -6,8 +6,9 @@
 //! * Sweep behaviour: bound intervals evolve consistently as the population
 //!   grows (throughput upper bounds are non-decreasing in `N` — adding jobs
 //!   to a closed network cannot lower the attainable flow), the sweep's
-//!   intervals match independent per-population solves, and no solve ever
-//!   falls back to the dense oracle.
+//!   intervals match independent per-population solves, and every
+//!   population is answered by the sweep's own solve (no degradation-ladder
+//!   rung beyond it).
 //! * Regression: `bound_all()` solves the dedicated
 //!   [`PerformanceIndex::SystemThroughput`] objective — the same one
 //!   `response_time_bounds()` uses — instead of copying station 0's
@@ -25,6 +26,16 @@ use mapqn::lp::{LpStatus, RevisedSimplex, Sense, SimplexEngine, SimplexOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use std::time::Duration;
+
+/// Whether every answer of an ensemble report came from its own direct
+/// solve, with no degradation-ladder rung beyond it.
+fn all_direct(report: &mapqn::core::bounds::EnsembleReport) -> bool {
+    report
+        .results
+        .iter()
+        .flat_map(|r| &r.bounds)
+        .all(|b| b.diagnostics.attempts.is_empty())
+}
 
 fn dense_options() -> SimplexOptions {
     SimplexOptions {
@@ -195,7 +206,10 @@ proptest! {
             .collect();
         let runner = EnsembleRunner::new().with_threads(3);
         let report = runner.run(&single).unwrap();
-        prop_assert_eq!(report.stats.dense_fallbacks, 0, "single-pop ensemble fell back");
+        prop_assert!(
+            all_direct(&report),
+            "single-pop ensemble needed the ladder"
+        );
         for (job, model) in models.iter().enumerate() {
             let net = model.network.with_population(population).unwrap();
             let mut serial = MarginalBoundSolver::with_options(
@@ -204,7 +218,10 @@ proptest! {
             )
             .unwrap();
             let serial_bounds = serial.bound_all().unwrap();
-            prop_assert_eq!(serial.stats().dense_fallbacks, 0);
+            prop_assert_eq!(
+                serial.stats().revised_solves,
+                2 * (3 * net.num_stations() + 1)
+            );
             assert_bounds_bitwise_equal(
                 &serial_bounds,
                 &report.results[job].bounds[0],
@@ -222,7 +239,7 @@ proptest! {
             })
             .collect();
         let ranged_report = runner.run(&ranged).unwrap();
-        prop_assert_eq!(ranged_report.stats.dense_fallbacks, 0, "ranged ensemble fell back");
+        prop_assert!(all_direct(&ranged_report), "ranged ensemble needed the ladder");
         let one_worker = EnsembleRunner::new().with_threads(1).run(&ranged).unwrap();
         prop_assert_eq!(one_worker.stats, ranged_report.stats);
         for (job, scenario) in ranged.iter().enumerate() {
@@ -231,6 +248,7 @@ proptest! {
                     .unwrap();
             for (j, &n) in scenario.populations.iter().enumerate() {
                 let serial_bounds = replay.bounds_at(n).unwrap();
+                prop_assert!(serial_bounds.diagnostics.attempts.is_empty());
                 assert_bounds_bitwise_equal(
                     &serial_bounds,
                     &ranged_report.results[job].bounds[j],
@@ -242,14 +260,13 @@ proptest! {
                     &format!("seed {seed} worker-count job {job} N={n}"),
                 );
             }
-            prop_assert_eq!(replay.stats().dense_fallbacks, 0);
         }
     }
 }
 
 /// Sweeping the SCV=16 case study upwards: intervals must match independent
 /// solves, the throughput upper bound must be non-decreasing in the
-/// population, and nothing may fall back to the dense oracle.
+/// population, and the sweep's own solve must answer every population.
 #[test]
 fn sweep_bounds_are_monotone_and_match_independent_solves() {
     let network = figure5_network(1, 16.0, 0.5).unwrap();
@@ -258,6 +275,11 @@ fn sweep_bounds_are_monotone_and_match_independent_solves() {
     for n in 1..=12 {
         let swept = sweep.bounds_at(n).unwrap();
         assert_eq!(swept.population, n);
+        assert!(
+            swept.diagnostics.attempts.is_empty(),
+            "N={n}: the sweep needed the ladder: {}",
+            swept.diagnostics
+        );
 
         // Throughput upper bounds cannot shrink as jobs are added.
         let upper = swept.system_throughput.upper;
@@ -294,7 +316,6 @@ fn sweep_bounds_are_monotone_and_match_independent_solves() {
         }
     }
     let stats = sweep.stats();
-    assert_eq!(stats.dense_fallbacks, 0, "sweep fell back to the dense oracle");
     assert!(
         stats.dual_warm_objectives > 0,
         "sweep never used a dual warm start: {stats:?}"
@@ -341,7 +362,9 @@ fn bound_all_solves_the_dedicated_system_throughput_objective() {
     // objective.
     let r = solver.response_time_bounds().unwrap();
     assert!(r.contains(exact.system_response_time, 1e-6));
-    assert_eq!(solver.stats().dense_fallbacks, 0);
+    // The revised engine answered all 24 objectives itself: 20 from
+    // bound_all, then two each for bound and response_time_bounds.
+    assert_eq!(solver.stats().revised_solves, 24);
 }
 
 /// A sweep answer carries the same diagnostics as a `bound_all` answer:

@@ -6,8 +6,9 @@
 //! both recovery lanes, and fall back to the dense-tableau oracle. The LP
 //! row equilibration (power-of-two row scaling in `RevisedSimplex::new`)
 //! plus the in-place feasibility repair and the dual-chain verification
-//! refresh fixed it; these tests pin `dense_fallbacks == 0` so the corner
-//! stays closed.
+//! refresh fixed it; these tests pin that the revised engine answers every
+//! objective itself (no degradation-ladder rung beyond the direct solve),
+//! so the corner stays closed.
 
 use mapqn::core::bounds::{BoundOptions, PopulationSweep};
 use mapqn::core::templates::{tpcw_server_tier, TpcwParameters};
@@ -27,7 +28,7 @@ fn corner_parameters() -> TpcwParameters {
 
 /// The historical failure was a *sweep* reaching population 7: the carried
 /// basis walked the refactorization into fixable-row infeasibility. The
-/// sweep must now run through the corner with zero dense fallbacks.
+/// sweep's own solve must now answer every population of the corner.
 #[test]
 fn scv8_decay06_sweep_crosses_population_7_without_dense_fallbacks() {
     let tier = tpcw_server_tier(&corner_parameters()).unwrap();
@@ -39,12 +40,13 @@ fn scv8_decay06_sweep_crosses_population_7_without_dense_fallbacks() {
             bounds.system_throughput.lower <= bounds.system_throughput.upper,
             "N={n}: malformed interval"
         );
+        assert!(
+            bounds.diagnostics.attempts.is_empty(),
+            "N={n}: the SCV=8/decay-0.6 corner regressed onto the ladder: {}",
+            bounds.diagnostics
+        );
     }
     let stats = sweep.stats();
-    assert_eq!(
-        stats.dense_fallbacks, 0,
-        "the SCV=8/decay-0.6 corner regressed to the dense oracle: {stats:?}"
-    );
     assert!(stats.dual_warm_objectives > 0, "sweep never warm-started: {stats:?}");
 }
 
@@ -59,13 +61,13 @@ fn scv8_decay06_sweep_stays_clean_under_ensemble_salts() {
         options.simplex.perturbation_salt = salt;
         let mut sweep = PopulationSweep::with_options(&tier, options).unwrap();
         for n in 1..=8 {
-            sweep.bounds_at(n).unwrap();
+            let bounds = sweep.bounds_at(n).unwrap();
+            assert!(
+                bounds.diagnostics.attempts.is_empty(),
+                "salt {salt:#x} N={n}: the corner sweep needed the ladder: {}",
+                bounds.diagnostics
+            );
         }
-        assert_eq!(
-            sweep.stats().dense_fallbacks,
-            0,
-            "salt {salt:#x}: dense fallback in the corner sweep"
-        );
     }
 }
 
@@ -80,7 +82,11 @@ fn scv8_decay06_cold_solve_at_population_7_uses_the_revised_engine() {
     let bounds = solver.bound_all().unwrap();
     assert!(bounds.system_throughput.lower > 0.0);
     assert!(bounds.system_throughput.lower <= bounds.system_throughput.upper);
+    assert!(bounds.diagnostics.attempts.is_empty(), "{}", bounds.diagnostics);
     let stats = solver.stats();
-    assert_eq!(stats.dense_fallbacks, 0, "cold corner solve fell back: {stats:?}");
-    assert!(stats.revised_solves > 0);
+    let objectives = 2 * (3 * tier.num_stations() + 1);
+    assert_eq!(
+        stats.revised_solves, objectives,
+        "the revised engine did not answer every objective: {stats:?}"
+    );
 }
